@@ -7,6 +7,14 @@ pip install -e . --no-build-isolation 2>/dev/null || python setup.py develop
 python scripts/pretrain_teachers.py
 python scripts/warm_features.py
 pytest tests/ 2>&1 | tee test_output.txt
+# Reliability gate: fault-injection / checkpoint / guard suites, then the
+# numerics-sensitive tests with RuntimeWarnings promoted to errors (see
+# scripts/check_reliability.sh).
+bash scripts/check_reliability.sh
+# Telemetry gate: telemetry suites, a profiled smoke run whose exports
+# must materialize, and the < 5% dormant-profiler overhead bound (see
+# scripts/check_telemetry.sh).
+bash scripts/check_telemetry.sh
 # Benchmark invocations append per-benchmark ledger entries via
 # benchmarks/conftest.py (results/ledger/benchmarks.jsonl); the
 # --benchmark-json dump is additionally ingested into the run ledger

@@ -185,7 +185,7 @@ class OnlineLearner:
                                       f"the recent-request window"}
         try:
             row = np.asarray(features, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             return 400, {"error": f"features are not numeric: {exc}"}
         row = np.atleast_2d(row)
         if row.ndim != 2 or row.shape[0] != 1:
@@ -193,6 +193,10 @@ class OnlineLearner:
                                   "(one row)"}
         if not np.isfinite(row).all():
             return 400, {"error": "features contain NaN/Inf"}
+        width = getattr(self.engine, "feature_width", None)
+        if width is not None and row.shape[1] != width:
+            return 400, {"error": f"features must have {width} columns, "
+                                  f"got {row.shape[1]}"}
         try:
             encoded = self.engine.encode_features(row)
             status = self.shadow.ingest(encoded, label)

@@ -303,6 +303,12 @@ class ScaleStage(Stage):
         return self.scaler.transform(
             np.asarray(batch, dtype=np.float64))
 
+    @property
+    def in_features(self) -> Optional[int]:
+        """Input columns per row (``None`` until the scaler is fitted)."""
+        mean = self.scaler.mean
+        return None if mean is None else int(np.size(mean))
+
     def state_arrays(self) -> Dict[str, np.ndarray]:
         if self.scaler.mean is None:
             return {}
@@ -357,6 +363,10 @@ class ManifoldReduceStage(Stage):
         self.pooling = bool(pooling)
         self._weight_fn = weight_fn
         self._bias_fn = bias_fn
+
+    @property
+    def in_features(self) -> int:
+        return int(np.prod(self.feature_shape))
 
     @property
     def weight(self) -> np.ndarray:
@@ -469,6 +479,10 @@ class EncodeStage(Stage):
     def __call__(self, batch: np.ndarray, ctx: Optional[dict] = None
                  ) -> np.ndarray:
         return self.encoder.encode(batch)
+
+    @property
+    def in_features(self) -> int:
+        return int(self.encoder.in_features)
 
     @property
     def encoder_type(self) -> str:
@@ -724,6 +738,10 @@ class ScalePoolStage(Stage):
         self.feature_shape = tuple(int(s) for s in feature_shape)
         self.scaler = scaler if scaler is not None else FeatureScaler()
         self.fused_from = ["scale", "reduce"]
+
+    @property
+    def in_features(self) -> int:
+        return int(np.prod(self.feature_shape))
 
     def __call__(self, batch: np.ndarray, ctx: Optional[dict] = None
                  ) -> np.ndarray:

@@ -14,6 +14,8 @@ once, serves many):
 * :mod:`~repro.serve.batching` — :class:`MicroBatcher`, dynamic
   micro-batching with a worker pool, per-request deadlines, and
   watermark overload shedding (:mod:`repro.reliability.degrade`).
+* :mod:`~repro.serve.http` — the one stdlib HTTP stack (route table,
+  handler, send/read path, lifecycle) both front ends are built on.
 * :mod:`~repro.serve.server` — :class:`ModelServer`, stdlib HTTP
   endpoints ``/predict``, ``/healthz``, ``/metrics`` (Prometheus).
 * :mod:`~repro.serve.fleet` — :class:`Supervisor`, N supervised worker

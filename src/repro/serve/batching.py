@@ -354,7 +354,6 @@ class MicroBatcher:
                         request_id=request.request_id))
             if not live:
                 continue
-            stacked = np.stack([r.features for r in live])
             wait_ms = 1000.0 * (clock() - live[0].enqueued_at)
             registry.observe("serve.batcher.batch_size", float(len(live)))
             registry.observe("serve.batcher.queue_wait_ms", wait_ms)
@@ -391,6 +390,10 @@ class MicroBatcher:
             t0 = clock()
             error_text: Optional[str] = None
             try:
+                # Inside the error surface: rows of mixed widths cannot
+                # stack, and that must fail their requests, not kill
+                # this worker thread.
+                stacked = np.stack([r.features for r in live])
                 if traced:
                     with hub.activate(traced[0].trace_ctx):
                         with span("serve.batcher.dispatch",

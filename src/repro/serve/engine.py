@@ -224,6 +224,12 @@ class InferenceEngine:
                                      (ExtractStage, FlattenStage))
         names = self.graph.names
         self._feature_entry = names[1] if self._has_front else names[0]
+        #: Columns of one raw-feature row, read off the frozen
+        #: feature-entry stage; the server rejects other widths with a
+        #: 400 before they reach the batcher (``None``: stage can't tell).
+        self.feature_width: Optional[int] = getattr(
+            self.graph.stages[1 if self._has_front else 0],
+            "in_features", None)
         self._classify_name = names[-1]
         self.extractor = (first_inner.extractor
                           if isinstance(first_inner, ExtractStage)

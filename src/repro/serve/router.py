@@ -1,8 +1,8 @@
 """Fleet router: consistent-hash, health-gated request routing.
 
-The front door of the fault-tolerant serving fleet.  A stdlib
-:class:`ThreadingHTTPServer` (same zero-dependency style as
-:mod:`~repro.serve.server`) accepts client requests and forwards them to
+The front door of the fault-tolerant serving fleet.  Built on the
+same stdlib HTTP stack as :mod:`~repro.serve.server`
+(:mod:`repro.serve.http`), it accepts client requests and forwards them to
 the worker processes a :class:`~repro.serve.fleet.Supervisor` (or
 :class:`~repro.serve.fleet.StaticFleet`) maintains:
 
@@ -47,28 +47,30 @@ import bisect
 import hashlib
 import http.client
 import json
-import signal
 import threading
 import time
-import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..reliability.circuit import CircuitBreaker
-from ..telemetry import (AlertManager, BurnRateTracker, clock,
-                         get_registry, get_request_log, prometheus_text,
-                         request_span)
+from ..telemetry import (BurnRateTracker, clock, get_registry,
+                         get_request_log, request_span)
 from ..telemetry.reqtrace import HUB as _HUB
-from ..telemetry.reqtrace import TraceContext, _RequestTrace
-from .server import _requestz_payload, _tracez_payload
+from ..telemetry.reqtrace import _RequestTrace
+from .http import DISCONNECTS, Handler, HTTPService, Response
 
 __all__ = ["Router", "HashRing"]
-
-_DISCONNECTS = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
 
 #: Worker answers worth retrying on a different worker (the request is
 #: idempotent): server errors, shed (503), and deadline (504).
 _RETRYABLE_STATUSES = frozenset({500, 502, 503, 504})
+
+
+def _unavailable(error: str, request_id: Optional[str]
+                 ) -> Tuple[int, bytes, Dict[str, str]]:
+    """A retryable 503 the router answers on its own behalf."""
+    return (503, json.dumps({"error": error, "retryable": True,
+                             "request_id": request_id}).encode("utf-8"),
+            {"Retry-After": "1"})
 
 
 class HashRing:
@@ -165,7 +167,7 @@ class _WorkerClient:
                 status = response.status
                 will_close = response.will_close
             except (http.client.RemoteDisconnected,
-                    *_DISCONNECTS) as exc:
+                    *DISCONNECTS) as exc:
                 conn.close()
                 if reused:
                     # Stale keep-alive connection, not a worker fault:
@@ -192,121 +194,7 @@ class _WorkerClient:
             conn.close()
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server: "_RouterHTTPServer"
-
-    #: Trace context echoed on every response (404s and drain-rejects
-    #: included); /predict swaps in its live root-span context.
-    _trace_ctx: Optional[TraceContext] = None
-
-    def _begin_request(self) -> TraceContext:
-        ctx = TraceContext.parse(self.headers.get("traceparent"))
-        if ctx is None:
-            ctx = TraceContext.mint(sampled=False)
-        self._trace_ctx = ctx
-        return ctx
-
-    def _trace_headers(self) -> Dict[str, str]:
-        ctx = self._trace_ctx
-        if ctx is None:
-            return {}
-        return {"X-Trace-Id": ctx.trace_id,
-                "traceparent": ctx.to_traceparent()}
-
-    def _send_json(self, status: int, payload: Dict[str, Any],
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        self._send_raw(status, json.dumps(payload).encode("utf-8"),
-                       "application/json", headers)
-
-    def _send_raw(self, status: int, body: bytes, content_type: str,
-                  headers: Optional[Dict[str, str]] = None) -> None:
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in self._trace_headers().items():
-                self.send_header(name, value)
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except _DISCONNECTS:
-            get_registry().inc("serve.client_disconnect")
-            self.close_connection = True
-
-    def log_message(self, format: str, *args: Any) -> None:
-        get_registry().inc("fleet.router.http.requests")
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        app = self.server.app
-        url = urllib.parse.urlsplit(self.path)
-        self._begin_request()
-        if url.path == "/healthz":
-            payload = app.health()
-            self._send_json(200 if payload["status"] != "down" else 503,
-                            payload)
-        elif url.path == "/metrics":
-            self._send_raw(200, prometheus_text().encode("utf-8"),
-                           "text/plain; charset=utf-8")
-        elif url.path == "/tracez":
-            self._send_json(*_tracez_payload(url.query))
-        elif url.path == "/requestz":
-            self._send_json(200, _requestz_payload(url.query))
-        elif url.path == "/driftz":
-            self._send_json(200, app.fleet_driftz())
-        elif url.path == "/alertz":
-            self._send_json(200, app.alertz())
-        else:
-            self._send_json(404, {"error": f"no route {self.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        app = self.server.app
-        self._begin_request()
-        length = int(self.headers.get("Content-Length", 0))
-        try:
-            body = self.rfile.read(length)
-        except _DISCONNECTS:
-            get_registry().inc("serve.client_disconnect")
-            self.close_connection = True
-            return
-        if self.path == "/predict":
-            # Root span of the whole distributed request: the routed
-            # worker's server.request hangs under one of this trace's
-            # router.attempt spans.  Closed *before* the response goes
-            # out so an immediate /tracez lookup already sees it.
-            parent = TraceContext.parse(self.headers.get("traceparent"))
-            with _HUB.trace("router.request", parent=parent,
-                            attrs={"path": "/predict"}) as trace:
-                self._trace_ctx = trace.ctx
-                status, data, headers = app.route_predict(body,
-                                                          trace=trace)
-                trace.annotate(status=status)
-                if status >= 500:
-                    trace.set_error(f"HTTP {status}")
-            self._send_raw(status, data, "application/json", headers)
-        elif self.path == "/reload":
-            status, payload = app.broadcast_reload(body)
-            self._send_json(status, payload)
-        else:
-            self._send_json(404, {"error": f"no route {self.path!r}"})
-
-
-class _RouterHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    app: "Router"
-
-    def handle_error(self, request, client_address) -> None:
-        import sys
-        exc = sys.exc_info()[1]
-        if isinstance(exc, _DISCONNECTS):
-            get_registry().inc("serve.client_disconnect")
-            return
-        super().handle_error(request, client_address)
-
-
-class Router:
+class Router(HTTPService):
     """HTTP front-end routing ``/predict`` across a worker fleet.
 
     Parameters
@@ -316,8 +204,6 @@ class Router:
         :class:`~repro.serve.fleet.StaticFleet` (anything with
         ``all_workers`` / ``healthy_workers`` / ``describe`` /
         ``stop``).
-    host, port:
-        Bind address (``port=0`` → ephemeral, tests).
     replicas:
         Virtual ring points per worker.
     max_attempts:
@@ -338,15 +224,20 @@ class Router:
     slo_latency_ms:
         Latency target a request must meet to count as "fast" for the
         latency SLO.
-    alert_rules:
-        Declarative :class:`~repro.telemetry.alerts.AlertRule` list
-        evaluated against the *router's* registry (fleet SLO burn
-        gauges, router latency quantiles, worker up/restart gauges) on
-        a background thread while the router runs; exposed at
-        ``GET /alertz`` and as ``alert.state.*`` gauges.
-    alert_interval_s:
-        Background evaluation period for the alert rules.
+    alert_rules, alert_interval_s:
+        Alert rules over the *router's* registry (fleet SLO burn
+        gauges, router latency quantiles, worker up/restart gauges) and
+        their evaluation period (see :class:`~repro.serve.http.HTTPService`).
     """
+
+    requests_metric = "fleet.router.http.requests"
+    bad_request_metric = "fleet.router.http.bad_request"
+    internal_error_metric = "fleet.router.http.internal_error"
+    drain_metric = "fleet.router.drain"
+    thread_name = "fleet-router"
+
+    #: How long :meth:`stop` waits for in-flight requests to finish.
+    drain_timeout_s = 10.0
 
     def __init__(self, fleet: Any, host: str = "127.0.0.1", port: int = 0,
                  replicas: int = 64, max_attempts: int = 3,
@@ -370,10 +261,6 @@ class Router:
         self.slo_latency_ms = float(slo_latency_ms)
         self.slo_availability = BurnRateTracker(objective=slo_objective)
         self.slo_latency = BurnRateTracker(objective=slo_objective)
-        self.alerts = (AlertManager(list(alert_rules))
-                       if alert_rules else None)
-        self.alert_interval_s = float(alert_interval_s)
-        self.draining = False
         self._ring: Optional[HashRing] = None
         self._ring_members: Tuple[str, ...] = ()
         self._clients: Dict[str, _WorkerClient] = {}
@@ -381,10 +268,13 @@ class Router:
         self._state_lock = threading.Lock()
         self._inflight = 0
         self._idle = threading.Condition()
-        self._httpd = _RouterHTTPServer((host, port), _RouterHandler)
-        self._httpd.app = self
-        self._thread: Optional[threading.Thread] = None
-        self._started = False
+        super().__init__(host, port, {
+            ("GET", "/healthz"): self._healthz_route,
+            ("GET", "/driftz"): lambda req: (200, self.fleet_driftz()),
+            ("POST", "/predict"): self._predict_route,
+            ("POST", "/reload"): lambda req: self.broadcast_reload(
+                req.read_body()),
+        }, alert_rules, alert_interval_s)
 
     # ------------------------------------------------------------------
     # Fleet plumbing
@@ -420,6 +310,18 @@ class Router:
     # ------------------------------------------------------------------
     # Request routing
     # ------------------------------------------------------------------
+    def _predict_route(self, req: Handler) -> Response:
+        body = req.read_body()
+        # The root span of the whole distributed request: the routed
+        # worker's server.request hangs under one of this trace's
+        # router.attempt spans.
+        with req.traced("router.request") as trace:
+            status, data, headers = self.route_predict(body, trace=trace)
+            trace.annotate(status=status)
+            if status >= 500:
+                trace.set_error(f"HTTP {status}")
+        return status, data, headers
+
     def route_predict(self, body: bytes,
                       trace: Optional[_RequestTrace] = None
                       ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
@@ -438,10 +340,7 @@ class Router:
         if self.draining:
             registry.inc("fleet.router.draining_rejects")
             self._record_slo(503, 0.0)
-            return (503, json.dumps(
-                {"error": "router is draining", "retryable": True,
-                 "request_id": request_id}
-            ).encode("utf-8"), {"Retry-After": "1"})
+            return _unavailable("router is draining", request_id)
         with self._idle:
             self._inflight += 1
         t0 = clock()
@@ -503,10 +402,8 @@ class Router:
                       if worker_id in healthy]
         if not candidates:
             registry.inc("fleet.router.no_backend")
-            return (503, json.dumps(
-                {"error": "no healthy worker in rotation",
-                 "retryable": True, "request_id": request_id}
-            ).encode("utf-8"), {"Retry-After": "1"})
+            return _unavailable("no healthy worker in rotation",
+                                request_id)
 
         attempts = 0
         last_failure = "all workers refused by circuit breakers"
@@ -561,11 +458,28 @@ class Router:
                 registry.inc("fleet.router.rerouted")
             return status, data, None
         registry.inc("fleet.router.exhausted")
-        return (503, json.dumps(
-            {"error": f"no worker answered after {attempts} attempts "
-                      f"(last: {last_failure})",
-             "retryable": True, "request_id": request_id}
-            ).encode("utf-8"), {"Retry-After": "1"})
+        return _unavailable(f"no worker answered after {attempts} "
+                            f"attempts (last: {last_failure})", request_id)
+
+    def _fan_out(self, method: str, path: str, body: bytes = b""
+                 ) -> Dict[str, Tuple[Optional[int], Any]]:
+        """``{worker_id: (status, JSON body)}`` from every healthy worker
+        (``(None, {"error": ...})`` when unreachable)."""
+        results: Dict[str, Tuple[Optional[int], Any]] = {}
+        for worker_id, address in self.fleet.healthy_workers():
+            try:
+                status, data = self._client(worker_id, address).request(
+                    method, path, body)
+            except Exception as exc:
+                results[worker_id] = (
+                    None, {"error": f"{type(exc).__name__}: {exc}"})
+                continue
+            try:
+                payload = json.loads(data.decode("utf-8"))
+            except ValueError:
+                payload = {"raw": data.decode("utf-8", "replace")}
+            results[worker_id] = (status, payload)
+        return results
 
     def broadcast_reload(self, body: bytes
                          ) -> Tuple[int, Dict[str, Any]]:
@@ -589,7 +503,7 @@ class Router:
         if body.strip():
             try:
                 payload = json.loads(body.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
+            except (ValueError, RecursionError):
                 payload = None  # let the workers produce the 400
             if isinstance(payload, dict) and "partial" in payload:
                 mode = payload.pop("partial")
@@ -599,27 +513,13 @@ class Router:
                 partial = mode == "allow"
                 body = json.dumps(payload).encode("utf-8")
         results: Dict[str, Any] = {}
-        succeeded = failed = 0
-        for worker_id, address in self.fleet.healthy_workers():
-            client = self._client(worker_id, address)
-            try:
-                status, data = client.request("POST", "/reload", body)
-                try:
-                    payload = json.loads(data.decode("utf-8"))
-                except ValueError:
-                    payload = {"raw": data.decode("utf-8", "replace")}
-                results[worker_id] = {"status": status, **(
-                    payload if isinstance(payload, dict) else
-                    {"body": payload})}
-                if status == 200:
-                    succeeded += 1
-                else:
-                    failed += 1
-            except Exception as exc:
-                results[worker_id] = {
-                    "status": None,
-                    "error": f"{type(exc).__name__}: {exc}"}
-                failed += 1
+        for worker_id, (status, payload) in self._fan_out(
+                "POST", "/reload", body).items():
+            results[worker_id] = {"status": status, **(
+                payload if isinstance(payload, dict) else
+                {"body": payload})}
+        succeeded = sum(r["status"] == 200 for r in results.values())
+        failed = len(results) - succeeded
         ok = failed == 0 and bool(results)
         registry = get_registry()
         if ok:
@@ -650,14 +550,10 @@ class Router:
         psi_max = zscore_max = pred_psi = 0.0
         samples = 0
         reporting = 0
-        for worker_id, address in self.fleet.healthy_workers():
-            client = self._client(worker_id, address)
-            try:
-                status, data = client.request("GET", "/driftz")
-                payload = json.loads(data.decode("utf-8"))
-            except Exception as exc:
-                workers[worker_id] = {
-                    "error": f"{type(exc).__name__}: {exc}"}
+        for worker_id, (status, payload) in self._fan_out(
+                "GET", "/driftz").items():
+            if status is None:
+                workers[worker_id] = payload
                 continue
             if status != 200 or not isinstance(payload, dict):
                 workers[worker_id] = {"status": status}
@@ -690,16 +586,13 @@ class Router:
             "workers": workers,
         }
 
-    def alertz(self) -> Dict[str, Any]:
-        """``GET /alertz``: evaluate-now snapshot of the router rules."""
-        if self.alerts is None:
-            return {"enabled": False, "rules": [], "firing": []}
-        self.alerts.evaluate()
-        return self.alerts.snapshot()
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def _healthz_route(self, req: Handler) -> Response:
+        payload = self.health()
+        return 200 if payload["status"] != "down" else 503, payload
+
     def health(self) -> Dict[str, Any]:
         fleet = self.fleet.describe()
         up, size = int(fleet.get("up", 0)), int(fleet.get("size", 0))
@@ -726,74 +619,9 @@ class Router:
             },
         }
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "Router":
-        if self._thread is not None:
-            raise RuntimeError("router already started")
-        self._started = True
-        self._start_alerts()
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="fleet-router",
-            daemon=True)
-        self._thread.start()
-        return self
-
-    def _start_alerts(self) -> None:
-        if self.alerts is not None and self.alerts._thread is None:
-            self.alerts.start(self.alert_interval_s)
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (CLI); SIGTERM/SIGINT drain."""
-        self._started = True
-        self.install_signal_handlers()
-        self._start_alerts()
-        try:
-            self._httpd.serve_forever()
-        finally:
-            self.stop()
-
-    def install_signal_handlers(self) -> bool:
-        if threading.current_thread() is not threading.main_thread():
-            return False
-
-        def _on_term(signum, frame):  # pragma: no cover - signal path
-            self.drain()
-
-        try:
-            signal.signal(signal.SIGTERM, _on_term)
-        except (ValueError, OSError, AttributeError):
-            return False
-        return True
-
-    def drain(self) -> None:
-        """Graceful shutdown trigger (signal-safe, returns at once)."""
-        if self.draining:
-            return
-        self.draining = True
-        get_registry().inc("fleet.router.drain")
-        threading.Thread(target=self.stop, name="fleet-router-drain",
-                         daemon=True).start()
-
-    def stop(self, drain_timeout_s: float = 10.0) -> None:
-        """Stop accepting, flush in-flight requests, stop the fleet."""
-        self.draining = True
-        if self.alerts is not None:
-            self.alerts.stop()
-        if self._started:
-            self._httpd.shutdown()
-        self._httpd.server_close()
-        deadline = clock() + drain_timeout_s
+    def _release(self) -> None:
+        """Flush in-flight requests, close the pools, stop the fleet."""
+        deadline = clock() + self.drain_timeout_s
         with self._idle:
             while self._inflight > 0 and clock() < deadline:
                 self._idle.wait(timeout=max(0.0, deadline - clock()))
@@ -804,15 +632,6 @@ class Router:
             client.close()
         if self.own_fleet:
             self.fleet.stop()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-
-    def __enter__(self) -> "Router":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     def __repr__(self) -> str:
         return (f"Router({self.url}, fleet={len(self._ring_members)} "

@@ -16,7 +16,8 @@ Endpoints
     (a list if a hot reload split the request across two models).
     Degradation mapping: admission-control rejection → **503** with
     ``Retry-After``; per-request deadline expiry → **504**; malformed
-    input → **400**; engine failure → **500**.
+    input (including a row width other than the engine's
+    ``feature_width``) → **400**; engine failure → **500**.
 ``GET /healthz``
     Engine + batcher + shedder facts as JSON (status ``ok`` /
     ``shedding`` / ``draining``), plus the bundle identity (version,
@@ -25,55 +26,44 @@ Endpoints
     worker.  ``?deep=1`` additionally runs the engine selfcheck and
     reports ``selfcheck`` (a failing selfcheck answers **500** so
     health-gated routing drops the worker).
-``GET /metrics``
-    Prometheus text exposition of the process-global telemetry registry
-    (the same counters/histograms the batcher and engine populate).
 ``GET /driftz``
     Model-quality snapshot from the engine's streaming
     :class:`~repro.telemetry.quality.DriftMonitor` (feature PSI /
     z-scores vs the training baseline, prediction skew, margin and
     confidence histograms, HV saturation); ``{"enabled": false}`` when
     the bundle carries no quality baseline.
-``GET /alertz``
-    Evaluate-now snapshot of the declarative alert rules
-    (:mod:`repro.telemetry.alerts`): per-rule state machine
-    (inactive/pending/firing/resolved), firing list, recent
-    transitions.
 ``POST /slow`` (chaos builds only)
     Fault-injection stall: ``{"stall_s": 2.5}`` wedges ``/predict`` and
     ``/healthz`` for the given duration, simulating a hung worker for
     the chaos harness.  Only routed when the server was built with
     ``chaos=True`` (or ``REPRO_SERVE_CHAOS=1``); otherwise 404.
 
-Client disconnects (a load generator hanging up mid-response) are
-counted in ``serve.client_disconnect`` instead of dumping stack traces
-to stderr.  ``SIGTERM`` triggers a graceful drain: stop accepting,
-answer everything queued in the micro-batcher, then exit — the same
-code path a fleet supervisor uses to stop a worker.
+The handler, body reader, send path, shared routes (``/metrics``,
+``/tracez``, ``/requestz``, ``/alertz``) and lifecycle come from
+:mod:`repro.serve.http`, shared with the fleet router.  ``SIGTERM``
+triggers a graceful drain: stop accepting, answer everything queued in
+the micro-batcher, then exit — the same code path a fleet supervisor
+uses to stop a worker.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import signal
 import threading
 import time
-import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..reliability.degrade import (DeadlineExceededError, LoadShedder,
                                    OverloadShedError)
-from ..telemetry import (AlertManager, clock, get_flight_recorder,
-                         get_registry, get_request_log, prometheus_text)
-from ..telemetry.reqtrace import HUB as _HUB
+from ..telemetry import clock, get_registry, get_request_log
 from ..telemetry.reqtrace import TraceContext
 from .batching import MicroBatcher
 from .bundle import BundleError, ModelBundle
 from .engine import EngineSelfCheckError, InferenceEngine
+from .http import Handler, HTTPService, RequestError, Response
 
 __all__ = ["ModelServer", "RequestError", "ReloadError"]
 
@@ -82,374 +72,25 @@ class ReloadError(RuntimeError):
     """A hot reload was requested but could not be satisfied."""
 
 
-class RequestError(ValueError):
-    """Client-side error (malformed JSON / wrong feature shape): HTTP 400."""
+_ONLINE_OFF = (404, {"error": "online learning is not enabled on this "
+                              "server"})
 
 
-#: Exceptions raised when the client hangs up mid-request/-response.
-_DISCONNECTS = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
+def _parse_features(body: bytes, width: Optional[int] = None) -> np.ndarray:
+    """Decode and shape-check the /predict request body.
 
-
-class _Handler(BaseHTTPRequestHandler):
-    """Routes requests to the owning :class:`ModelServer`."""
-
-    protocol_version = "HTTP/1.1"
-    server: "_HTTPServer"
-
-    #: Request-trace context echoed on every response of the current
-    #: request (set at the top of do_GET/do_POST, refreshed by /predict
-    #: with its live root-span context).
-    _trace_ctx: Optional[TraceContext] = None
-
-    # -- helpers -------------------------------------------------------
-    def _begin_request(self) -> TraceContext:
-        """Adopt the client's traceparent (or mint a request id).
-
-        Every response — including 404/400/503/504/500 — carries
-        ``X-Trace-Id`` + ``traceparent`` headers built from this
-        context, whether or not tracing is enabled.
-        """
-        ctx = TraceContext.parse(self.headers.get("traceparent"))
-        if ctx is None:
-            ctx = TraceContext.mint(sampled=False)
-        self._trace_ctx = ctx
-        return ctx
-
-    def _trace_headers(self) -> Dict[str, str]:
-        ctx = self._trace_ctx
-        if ctx is None:
-            return {}
-        return {"X-Trace-Id": ctx.trace_id,
-                "traceparent": ctx.to_traceparent()}
-
-    def _send_json(self, status: int, payload: Dict[str, Any],
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in self._trace_headers().items():
-                self.send_header(name, value)
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except _DISCONNECTS:
-            # The client is gone; nobody is owed this response.
-            get_registry().inc("serve.client_disconnect")
-            self.close_connection = True
-
-    def _send_text(self, status: int, text: str,
-                   content_type: str = "text/plain; charset=utf-8") -> None:
-        body = text.encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in self._trace_headers().items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except _DISCONNECTS:
-            get_registry().inc("serve.client_disconnect")
-            self.close_connection = True
-
-    def log_message(self, format: str, *args: Any) -> None:
-        # Access logs go to the metrics registry, not stderr (tests and
-        # benchmarks would otherwise drown in per-request lines).
-        get_registry().inc("serve.http.requests")
-
-    # -- routes --------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        app = self.server.app
-        url = urllib.parse.urlsplit(self.path)
-        # Probe endpoints are *not* traced (a supervisor heartbeats
-        # /healthz several times a second — root spans for those would
-        # churn the flight recorder), but every response still echoes a
-        # request id.
-        self._begin_request()
-        if url.path == "/healthz":
-            app._maybe_stall()
-            query = urllib.parse.parse_qs(url.query)
-            deep = query.get("deep", ["0"])[-1] not in ("0", "", "false")
-            payload = app.health(deep=deep)
-            status = 200 if payload["status"] != "selfcheck_failed" else 500
-            self._send_json(status, payload)
-        elif url.path == "/metrics":
-            self._send_text(200, prometheus_text())
-        elif url.path == "/tracez":
-            self._send_json(*_tracez_payload(url.query))
-        elif url.path == "/requestz":
-            self._send_json(200, _requestz_payload(url.query))
-        elif url.path == "/driftz":
-            self._send_json(200, app.driftz())
-        elif url.path == "/alertz":
-            self._send_json(200, app.alertz())
-        elif url.path == "/onlinez":
-            self._send_json(200, app.onlinez())
-        else:
-            self._send_json(404, {"error": f"no route {self.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        app = self.server.app
-        self._begin_request()
-        if self.path == "/reload":
-            self._do_reload(app)
-            return
-        if self.path == "/feedback":
-            self._do_feedback(app)
-            return
-        if self.path == "/promote":
-            self._do_promote(app)
-            return
-        if self.path == "/slow" and app.chaos:
-            self._do_slow(app)
-            return
-        if self.path != "/predict":
-            self._send_json(404, {"error": f"no route {self.path!r}"})
-            return
-        registry = get_registry()
-        # Root span of this worker's part of the request.  The client's
-        # traceparent (router or external) becomes the parent, so the
-        # cross-process stitcher hangs this hop under the router's
-        # attempt span.  Works with tracing disabled too — the context
-        # still carries the request id every response echoes.
-        client_parent = TraceContext.parse(self.headers.get("traceparent"))
-        # The response is sent AFTER the root span closes, so by the
-        # time the client holds its trace id the flight recorder has
-        # already retained the trace — an immediate /tracez lookup
-        # cannot race the request it is looking for.
-        response: Optional[Tuple[int, Dict[str, Any],
-                                 Optional[Dict[str, str]]]] = None
-        with _HUB.trace("server.request",
-                        parent=client_parent,
-                        attrs={"path": "/predict"}) as trace:
-            self._trace_ctx = trace.ctx
-            t0 = clock()
-            n_rows = 0
-            status, error_text = 200, None
-            try:
-                app._maybe_stall()
-                length = int(self.headers.get("Content-Length", 0))
-                features = _parse_features(self.rfile.read(length))
-                n_rows = len(features)
-                labels, models = app.predict_tagged(
-                    features, trace_ctx=trace.ctx)
-            except _DISCONNECTS:
-                registry.inc("serve.client_disconnect")
-                trace.set_error("client disconnect")
-                self.close_connection = True
-                return
-            except RequestError as exc:
-                status, error_text = 400, str(exc)
-                registry.inc("serve.http.bad_request")
-                response = (400, {"error": str(exc),
-                                  "request_id": trace.trace_id}, None)
-            except OverloadShedError as exc:
-                status, error_text = 503, str(exc)
-                registry.inc("serve.http.shed")
-                response = (
-                    503, {"error": str(exc), "retryable": True,
-                          "request_id": exc.request_id or trace.trace_id,
-                          "model": exc.model},
-                    {"Retry-After": "1"})
-            except DeadlineExceededError as exc:
-                status, error_text = 504, str(exc)
-                registry.inc("serve.http.deadline")
-                response = (
-                    504, {"error": str(exc), "retryable": True,
-                          "request_id": exc.request_id or trace.trace_id,
-                          "model": exc.model}, None)
-            except Exception as exc:  # engine failure
-                status = 500
-                error_text = f"{type(exc).__name__}: {exc}"
-                registry.inc("serve.http.internal_error")
-                response = (500, {"error": error_text,
-                                  "request_id": trace.trace_id}, None)
-            else:
-                if app.online is not None:
-                    # Retain single-row request features so feedback can
-                    # reference them by request_id instead of re-upload.
-                    app.online.remember(trace.trace_id, features)
-                response = (200, {
-                    "labels": [int(label) for label in labels],
-                    "model": models[0] if len(models) == 1 else models,
-                    "request_id": trace.trace_id,
-                }, None)
-            latency_ms = 1000.0 * (clock() - t0)
-            # The P99 exemplar points at a real recent trace: a slow
-            # /metrics scrape can be chased into /tracez directly.
-            registry.observe("serve.latency_ms", latency_ms,
-                             exemplar=trace.trace_id)
-            trace.annotate(status=status, rows=n_rows)
-            if error_text is not None:
-                trace.set_error(error_text)
-            get_request_log().append(
-                path="/predict", status=status, trace_id=trace.trace_id,
-                latency_ms=round(latency_ms, 3), rows=n_rows,
-                error=error_text)
-        self._send_json(response[0], response[1], headers=response[2])
-
-    def _do_reload(self, app: "ModelServer") -> None:
-        """``POST /reload``: swap in a re-verified bundle (or refuse).
-
-        An optional JSON body ``{"bundle": "path.npz"}`` points the
-        server at a *new* artifact; otherwise the configured
-        ``bundle_path`` is re-read.  A torn, invalid, or incompatible
-        bundle returns **409** and the old engine keeps serving.
-        """
-        registry = get_registry()
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = self.rfile.read(length) if length else b""
-            path = None
-            if body.strip():
-                try:
-                    payload = json.loads(body.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError) as exc:
-                    raise RequestError(
-                        f"reload body is not valid JSON: {exc}") from exc
-                if not isinstance(payload, dict):
-                    raise RequestError(
-                        'reload body must be {"bundle": "path"}')
-                path = payload.get("bundle")
-            info = app.reload(path)
-        except RequestError as exc:
-            registry.inc("serve.http.bad_request")
-            self._send_json(400, {"error": str(exc)})
-        except ReloadError as exc:
-            registry.inc("serve.reload.rejected")
-            self._send_json(409, {"error": str(exc), "reloaded": False})
-        else:
-            self._send_json(200, info)
-
-    def _do_feedback(self, app: "ModelServer") -> None:
-        """``POST /feedback``: guarded shadow-model update from a label.
-
-        Body: ``{"label": k, "features": [...]}`` or ``{"label": k,
-        "request_id": "<id from /predict>"}``.  Updates only the
-        *shadow* copy — the live engine is untouched until a promotion
-        passes every gate.  404 when online learning is disabled or the
-        request_id fell out of the window, 422 when the numerics guard
-        vetoes the payload, 429 when rate-limited.
-        """
-        registry = get_registry()
-        registry.inc("serve.feedback.requests")
-        if app.online is None:
-            self._send_json(404, {"error": "online learning is not "
-                                           "enabled on this server"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("feedback body must be a JSON object")
-        except (ValueError, UnicodeDecodeError) as exc:
-            registry.inc("serve.feedback.bad_request")
-            self._send_json(400, {"error": f"invalid feedback body: "
-                                           f"{exc}"})
-            return
-        try:
-            status, body = app.online.feedback(payload)
-        except Exception as exc:  # defensive: keep the worker alive
-            registry.inc("serve.http.internal_error")
-            self._send_json(500, {"error":
-                                  f"{type(exc).__name__}: {exc}"})
-            return
-        if status == 400:
-            registry.inc("serve.feedback.bad_request")
-        headers = {"Retry-After": "1"} if status == 429 else None
-        self._send_json(status, body, headers=headers)
-
-    def _do_promote(self, app: "ModelServer") -> None:
-        """``POST /promote``: run the promotion gates right now.
-
-        Evaluation on demand — the gates still apply; this cannot force
-        an unqualified shadow into production.  Returns the full
-        decision record (also retained on ``/onlinez``).
-        """
-        if app.online is None:
-            self._send_json(404, {"error": "online learning is not "
-                                           "enabled on this server"})
-            return
-        try:
-            decision = app.online.try_promote()
-        except Exception as exc:  # defensive: keep the worker alive
-            get_registry().inc("serve.http.internal_error")
-            self._send_json(500, {"error":
-                                  f"{type(exc).__name__}: {exc}"})
-            return
-        self._send_json(200, decision)
-
-    def _do_slow(self, app: "ModelServer") -> None:
-        """``POST /slow`` (chaos builds): wedge the worker for a while."""
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            stall_s = float(payload["stall_s"])
-            if not 0.0 <= stall_s <= 120.0:
-                raise ValueError(f"stall_s out of range: {stall_s}")
-        except (KeyError, TypeError, ValueError,
-                UnicodeDecodeError) as exc:
-            self._send_json(400, {"error": f'expected {{"stall_s": '
-                                           f's}}: {exc}'})
-            return
-        get_registry().inc("serve.chaos.stalls")
-        app.stall(stall_s)
-        self._send_json(200, {"stalled_s": stall_s})
-
-
-def _tracez_payload(query: str) -> Tuple[int, Dict[str, Any]]:
-    """``GET /tracez`` body: flight-recorder snapshot or one trace.
-
-    ``?trace_id=<id>`` looks up a retained trace (404 with the retained
-    id list when it aged out); no query returns the recorder snapshot
-    (retained traces sorted slowest-first, active-trace count, stats).
-    Shared by the worker and router handlers.
+    ``width`` is the engine's expected feature count per row; a wrong
+    width is the client's error (400), not an engine failure (500).
     """
-    params = urllib.parse.parse_qs(query)
-    trace_id = params.get("trace_id", [None])[-1]
-    recorder = get_flight_recorder()
-    if trace_id:
-        found = recorder.lookup(trace_id)
-        if found is None:
-            return 404, {"error": f"trace {trace_id!r} not retained",
-                         "retained": recorder.retained_ids()}
-        return 200, found
-    return 200, recorder.snapshot()
-
-
-def _requestz_payload(query: str) -> Dict[str, Any]:
-    """``GET /requestz`` body: the structured request log (newest first).
-
-    ``?limit=N`` bounds the slice, ``?errors=1`` filters to failures,
-    ``?trace_id=<id>`` pulls one request's record.
-    """
-    params = urllib.parse.parse_qs(query)
-    try:
-        limit = int(params.get("limit", ["100"])[-1])
-    except ValueError:
-        limit = 100
-    errors_only = params.get("errors", ["0"])[-1] not in ("0", "", "false")
-    trace_id = params.get("trace_id", [None])[-1]
-    log = get_request_log()
-    return {"requests": log.snapshot(limit=limit, trace_id=trace_id,
-                                     errors_only=errors_only),
-            "appended": log.appended}
-
-
-def _parse_features(body: bytes) -> np.ndarray:
-    """Decode and shape-check the /predict request body."""
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise RequestError(f"request body is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "features" not in payload:
         raise RequestError('request body must be {"features": [...]}')
     try:
         features = np.asarray(payload["features"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise RequestError(f"features are not numeric: {exc}") from exc
     if features.ndim == 1:
         features = features[None, :]
@@ -457,40 +98,21 @@ def _parse_features(body: bytes) -> np.ndarray:
         raise RequestError(
             f"features must be a (n, F) matrix, got shape "
             f"{features.shape}")
+    if width is not None and features.shape[1] != width:
+        raise RequestError(
+            f"features must have {width} columns, got {features.shape[1]}")
     if not np.isfinite(features).all():
         raise RequestError("features contain NaN/Inf")
     return features
 
 
-class _HTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    app: "ModelServer"
-
-    def handle_error(self, request, client_address) -> None:
-        """Count client disconnects instead of spewing tracebacks.
-
-        Anything that escapes the handler's own try/except (e.g. a
-        reset while *reading* the request line) lands here; for real
-        server bugs keep the default stderr traceback.
-        """
-        import sys
-        exc = sys.exc_info()[1]
-        if isinstance(exc, _DISCONNECTS):
-            get_registry().inc("serve.client_disconnect")
-            return
-        super().handle_error(request, client_address)
-
-
-class ModelServer:
+class ModelServer(HTTPService):
     """HTTP front end around an engine + micro-batcher.
 
     Parameters
     ----------
     engine:
         The :class:`InferenceEngine` to serve.
-    host, port:
-        Bind address; ``port=0`` picks an ephemeral port (tests).
     max_batch_size, max_latency_ms, workers:
         Micro-batcher tuning (see :class:`MicroBatcher`).
     high_watermark:
@@ -512,14 +134,9 @@ class ModelServer:
         outside tests/chaos harnesses).  Defaults to the
         ``REPRO_SERVE_CHAOS=1`` environment toggle so a fleet
         supervisor can arm spawned workers.
-    alert_rules:
-        Declarative :class:`~repro.telemetry.alerts.AlertRule` list
-        evaluated against the metrics registry on a background thread
-        while the server runs (and on every ``GET /alertz``); rule
-        states are also published as ``alert.state.*`` gauges in
-        ``/metrics``.  ``None``/empty disables alerting.
-    alert_interval_s:
-        Background evaluation period for the alert rules.
+    alert_rules, alert_interval_s:
+        Declarative :class:`~repro.telemetry.alerts.AlertRule` list and
+        its evaluation period (see :class:`~repro.serve.http.HTTPService`).
     online_options:
         Keyword arguments for an :class:`~repro.online.OnlineLearner`
         riding this server (the ``[online]`` config section): enables
@@ -530,6 +147,16 @@ class ModelServer:
         ``enabled = false`` key inside the dict also disables it (so a
         config file can keep the section but switch it off).
     """
+
+    requests_metric = "serve.http.requests"
+    bad_request_metric = "serve.http.bad_request"
+    internal_error_metric = "serve.http.internal_error"
+    drain_metric = "serve.drain"
+    thread_name = "model-server"
+    # SIGHUP reloads (a failure is counted in serve.reload.rejected and
+    # the old engine keeps serving); SIGTERM drains, which is also how a
+    # fleet supervisor stops a worker.
+    signals = {"SIGHUP": "_reload_quietly", "SIGTERM": "drain"}
 
     def __init__(self, engine: InferenceEngine, host: str = "127.0.0.1",
                  port: int = 0, max_batch_size: int = 32,
@@ -548,7 +175,6 @@ class ModelServer:
             chaos = os.environ.get("REPRO_SERVE_CHAOS", "") not in ("", "0")
         self.chaos = bool(chaos)
         self._stall_until = 0.0
-        self.draining = False
         if engine_options is None:
             # Test doubles may not implement the full engine surface;
             # fall back to engine defaults on reload in that case.
@@ -559,9 +185,6 @@ class ModelServer:
         self.reloads = 0
         self.last_reload_ts: Optional[float] = None
         self.started_at = time.time()
-        self.alerts = (AlertManager(list(alert_rules))
-                       if alert_rules else None)
-        self.alert_interval_s = float(alert_interval_s)
         self._reload_lock = threading.Lock()
         self.shedder = (LoadShedder(high_watermark)
                         if high_watermark else None)
@@ -586,10 +209,18 @@ class ModelServer:
                 # here would cycle.
                 from ..online import OnlineLearner
                 self.online = OnlineLearner(self, **opts)
-        self._httpd = _HTTPServer((host, port), _Handler)
-        self._httpd.app = self
-        self._thread: Optional[threading.Thread] = None
-        self._started = False
+        routes = {
+            ("GET", "/healthz"): self._healthz_route,
+            ("GET", "/driftz"): lambda req: (200, self.driftz()),
+            ("GET", "/onlinez"): lambda req: (200, self.onlinez()),
+            ("POST", "/predict"): self._predict_route,
+            ("POST", "/reload"): self._reload_route,
+            ("POST", "/feedback"): self._feedback_route,
+            ("POST", "/promote"): self._promote_route,
+        }
+        if self.chaos:
+            routes[("POST", "/slow")] = self._slow_route
+        super().__init__(host, port, routes, alert_rules, alert_interval_s)
 
     def _predict_batch(self, features: np.ndarray):
         # Snapshot the engine ONCE per batch: the labels and the
@@ -600,17 +231,154 @@ class ModelServer:
         labels = engine.predict_features(features)
         return labels, engine.bundle.info.get("config_fingerprint")
 
+    def _healthz_route(self, req: Handler) -> Response:
+        # Probe endpoints are *not* traced (a supervisor heartbeats
+        # /healthz several times a second — root spans for those would
+        # churn the flight recorder), but every response still echoes a
+        # request id.
+        self._maybe_stall()
+        payload = self.health(deep=req.flag("deep"))
+        return (200 if payload["status"] != "selfcheck_failed" else 500,
+                payload)
+
+    def _predict_route(self, req: Handler) -> Response:
+        """``POST /predict``: batch-predict the request's feature rows."""
+        registry = get_registry()
+        with req.traced("server.request") as trace:
+            t0 = clock()
+            body = req.read_body()  # bad framing: 400/413 by the handler
+            n_rows = 0
+            headers = None
+            try:
+                self._maybe_stall()
+                features = _parse_features(
+                    body, getattr(self.engine, "feature_width", None))
+                n_rows = len(features)
+                labels, models = self.predict_tagged(
+                    features, trace_ctx=trace.ctx)
+            except RequestError as exc:
+                registry.inc("serve.http.bad_request")
+                status, payload = exc.status, {
+                    "error": str(exc), "request_id": trace.trace_id}
+            except (OverloadShedError, DeadlineExceededError) as exc:
+                # Both are retryable; only a shed asks for a back-off.
+                if isinstance(exc, OverloadShedError):
+                    registry.inc("serve.http.shed")
+                    status, headers = 503, {"Retry-After": "1"}
+                else:
+                    registry.inc("serve.http.deadline")
+                    status = 504
+                payload = {"error": str(exc), "retryable": True,
+                           "request_id": exc.request_id or trace.trace_id,
+                           "model": exc.model}
+            except Exception as exc:  # engine failure
+                registry.inc("serve.http.internal_error")
+                status, payload = 500, {
+                    "error": f"{type(exc).__name__}: {exc}",
+                    "request_id": trace.trace_id}
+            else:
+                if self.online is not None:
+                    # Retain single-row request features so feedback can
+                    # reference them by request_id instead of re-upload.
+                    self.online.remember(trace.trace_id, features)
+                status, payload = 200, {
+                    "labels": [int(label) for label in labels],
+                    "model": models[0] if len(models) == 1 else models,
+                    "request_id": trace.trace_id,
+                }
+            latency_ms = 1000.0 * (clock() - t0)
+            # The P99 exemplar points at a real recent trace: a slow
+            # /metrics scrape can be chased into /tracez directly.
+            registry.observe("serve.latency_ms", latency_ms,
+                             exemplar=trace.trace_id)
+            trace.annotate(status=status, rows=n_rows)
+            if "error" in payload:
+                trace.set_error(payload["error"])
+            get_request_log().append(
+                path="/predict", status=status, trace_id=trace.trace_id,
+                latency_ms=round(latency_ms, 3), rows=n_rows,
+                error=payload.get("error"))
+        return status, payload, headers
+
+    def _reload_route(self, req: Handler) -> Response:
+        """``POST /reload``: swap in a re-verified bundle (or refuse).
+
+        An optional JSON body ``{"bundle": "path.npz"}`` points the
+        server at a *new* artifact; otherwise the configured
+        ``bundle_path`` is re-read.  A torn, invalid, or incompatible
+        bundle returns **409** and the old engine keeps serving.
+        """
+        body = req.read_body()
+        path = None
+        if body.strip():
+            try:
+                payload = json.loads(body.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:
+                raise RequestError(
+                    f"reload body is not valid JSON: {exc}") from exc
+            if not isinstance(payload, dict) or not isinstance(
+                    payload.get("bundle"), (str, type(None))):
+                raise RequestError('reload body must be {"bundle": "path"}')
+            path = payload.get("bundle")
+        try:
+            return 200, self.reload(path)
+        except ReloadError as exc:
+            get_registry().inc("serve.reload.rejected")
+            return 409, {"error": str(exc), "reloaded": False}
+
+    def _feedback_route(self, req: Handler) -> Response:
+        """``POST /feedback``: guarded shadow-model update from a label.
+
+        Body: ``{"label": k, "features": [...]}`` or ``{"label": k,
+        "request_id": "<id from /predict>"}``.  Updates only the
+        *shadow* copy — the live engine is untouched until a promotion
+        passes every gate.  404 when online learning is disabled or the
+        request_id fell out of the window, 422 when the numerics guard
+        vetoes the payload, 429 when rate-limited.
+        """
+        registry = get_registry()
+        registry.inc("serve.feedback.requests")
+        if self.online is None:
+            return _ONLINE_OFF
+        body = req.read_body()
+        try:
+            payload = json.loads(body.decode("utf-8"))
+            if not isinstance(payload, dict):
+                raise ValueError("feedback body must be a JSON object")
+        except (ValueError, RecursionError) as exc:
+            registry.inc("serve.feedback.bad_request")
+            return 400, {"error": f"invalid feedback body: {exc}"}
+        status, reply = self.online.feedback(payload)
+        if status == 400:
+            registry.inc("serve.feedback.bad_request")
+        return status, reply, ({"Retry-After": "1"} if status == 429
+                               else None)
+
+    def _promote_route(self, req: Handler) -> Response:
+        """``POST /promote``: run the promotion gates right now.
+
+        Evaluation on demand — the gates still apply; this cannot force
+        an unqualified shadow into production.  Returns the full
+        decision record (also retained on ``/onlinez``).
+        """
+        if self.online is None:
+            return _ONLINE_OFF
+        return 200, self.online.try_promote()
+
+    def _slow_route(self, req: Handler) -> Response:
+        """``POST /slow`` (chaos builds): wedge the worker for a while."""
+        body = req.read_body()
+        try:
+            stall_s = float(json.loads(body.decode("utf-8"))["stall_s"])
+            if not 0.0 <= stall_s <= 120.0:
+                raise ValueError(f"stall_s out of range: {stall_s}")
+        except (KeyError, TypeError, ValueError) as exc:
+            return 400, {"error": f'expected {{"stall_s": s}}: {exc}'}
+        get_registry().inc("serve.chaos.stalls")
+        self.stall(stall_s)
+        return 200, {"stalled_s": stall_s}
+
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        """Actual ``(host, port)`` after binding (resolves ``port=0``)."""
-        return self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
     def predict(self, features: np.ndarray) -> list:
         """Route the request through the micro-batcher (blocking).
 
@@ -730,7 +498,7 @@ class ModelServer:
         return payload
 
     # ------------------------------------------------------------------
-    # Model-quality observability (/driftz, /alertz)
+    # Model-quality observability (/driftz; /alertz is shared)
     # ------------------------------------------------------------------
     def driftz(self) -> Dict[str, Any]:
         """``GET /driftz`` body: the engine's drift-monitor snapshot."""
@@ -738,17 +506,6 @@ class ModelServer:
         if monitor is None:
             return {"enabled": False}
         return monitor.snapshot()
-
-    def alertz(self) -> Dict[str, Any]:
-        """``GET /alertz`` body: evaluate-now + alert states.
-
-        Evaluating on read means the endpoint is accurate even when the
-        background evaluator is not running (tests, one-shot probes).
-        """
-        if self.alerts is None:
-            return {"enabled": False, "rules": [], "firing": []}
-        self.alerts.evaluate()
-        return self.alerts.snapshot()
 
     def onlinez(self) -> Dict[str, Any]:
         """``GET /onlinez`` body: online-learning status + last decision."""
@@ -778,7 +535,8 @@ class ModelServer:
                 ModelBundle.verify(path)
                 engine = InferenceEngine.from_path(path,
                                                    **self.engine_options)
-            except (BundleError, EngineSelfCheckError, OSError) as exc:
+            except (BundleError, EngineSelfCheckError, OSError,
+                    ValueError) as exc:
                 raise ReloadError(
                     f"reload of {path!r} rejected "
                     f"({type(exc).__name__}: {exc}); "
@@ -798,100 +556,12 @@ class ModelServer:
             "engine": engine.describe(),
         }
 
-    def install_signal_handlers(self) -> bool:
-        """Route ``SIGHUP`` → :meth:`reload` and ``SIGTERM`` →
-        :meth:`drain` (main thread only).
-
-        Returns whether the handlers were installed; a failed reload
-        from a signal never propagates (the old engine keeps serving
-        and the rejection is counted in ``serve.reload.rejected``).
-        SIGTERM starts the graceful drain — stop accepting, answer the
-        queued requests, exit 0 — which is also how a fleet supervisor
-        stops a worker.
-        """
-        if threading.current_thread() is not threading.main_thread():
-            return False
-
-        def _on_hup(signum, frame):  # pragma: no cover - signal path
-            try:
-                self.reload()
-            except ReloadError:
-                get_registry().inc("serve.reload.rejected")
-
-        def _on_term(signum, frame):  # pragma: no cover - signal path
-            self.drain()
-
+    def _reload_quietly(self) -> None:  # pragma: no cover - signal path
         try:
-            signal.signal(signal.SIGHUP, _on_hup)
-            signal.signal(signal.SIGTERM, _on_term)
-        except (ValueError, OSError, AttributeError):
-            return False
-        return True
+            self.reload()
+        except ReloadError:
+            get_registry().inc("serve.reload.rejected")
 
-    def drain(self) -> None:
-        """Graceful shutdown: stop accepting, flush in-flight, stop.
-
-        Safe to call from a signal handler: ``shutdown()`` must not run
-        on the thread blocked inside ``serve_forever`` (it would
-        deadlock waiting for its own loop to exit), so the actual stop
-        runs on a helper thread and this returns immediately.  The
-        batcher answers everything already queued before the workers
-        exit (see :meth:`MicroBatcher.shutdown`).
-        """
-        if self.draining:
-            return
-        self.draining = True
-        get_registry().inc("serve.drain")
-        threading.Thread(target=self.stop, name="model-server-drain",
-                         daemon=True).start()
-
-    # ------------------------------------------------------------------
-    def start(self) -> "ModelServer":
-        """Serve in a background thread; returns self (fluent)."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._started = True
-        self._start_alerts()
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="model-server",
-            daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (CLI entry point).
-
-        Installs the SIGHUP → :meth:`reload` handler when running on
-        the main thread.
-        """
-        self._started = True
-        self.install_signal_handlers()
-        self._start_alerts()
-        try:
-            self._httpd.serve_forever()
-        finally:
-            self.stop()
-
-    def _start_alerts(self) -> None:
-        if self.alerts is not None and self.alerts._thread is None:
-            self.alerts.start(self.alert_interval_s)
-
-    def stop(self) -> None:
-        """Shut down the HTTP listener and drain the batcher."""
-        if self.alerts is not None:
-            self.alerts.stop()
-        if self._started:
-            # shutdown() synchronizes with a serve_forever loop; calling
-            # it on a never-served listener would block forever.
-            self._httpd.shutdown()
-        self._httpd.server_close()
+    def _release(self) -> None:
+        """Drain the batcher: answer everything queued, stop workers."""
         self.batcher.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-
-    def __enter__(self) -> "ModelServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

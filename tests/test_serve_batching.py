@@ -161,6 +161,36 @@ class TestDegradation:
             assert batcher.stats["errors"] >= 1
 
 
+    def test_mixed_widths_fail_their_requests_not_the_workers(self):
+        """Rows of different widths coalesced into one batch cannot be
+        stacked: each member must get the error, the worker threads
+        must survive, and a later well-formed submit must be answered."""
+        batcher = MicroBatcher(argmax_fn, max_batch_size=2,
+                               max_latency_ms=2000.0, workers=2)
+        errors = []
+
+        def submit(width):
+            try:
+                batcher.submit(np.ones(width))
+            except ValueError as exc:
+                errors.append(exc)
+
+        try:
+            threads = [threading.Thread(target=submit, args=(width,))
+                       for width in (32, 5)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10.0)
+            assert len(errors) == 2
+            assert batcher.stats["errors"] == 2
+            assert all(t.is_alive() for t in batcher._workers)
+            assert batcher.submit(np.array([0.0, 3.0, 1.0]),
+                                  timeout_s=5.0) == 1
+        finally:
+            batcher.shutdown()
+
+
 class TestShutdown:
     def test_drains_pending_requests(self):
         fn = RecordingFn(delay_s=0.005)
