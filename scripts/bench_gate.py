@@ -41,11 +41,12 @@ Usage (fresh checkout, CPU, well under a minute)::
 
 ``--compile`` adds a graph-compiler A/B run (``kind="compile"``): the
 re-fit/A-B-eval workflow (repeated evaluation of the same batch) is
-timed interpreted-cold vs with the digest-keyed
-:class:`~repro.pipeline.StageCache` attached, and an exported bundle is
-served interpreted vs compiled (all fusion passes).  The cached path
-must be at least ``--min-compile-speedup`` (default 1.3×) faster — a
-hard floor on top of the usual median+MAD ledger gate.
+timed interpreted-cold vs with a per-row
+:class:`~repro.pipeline.StageCache` (sized to the batch) attached, and
+an exported bundle is served interpreted vs compiled (all fusion
+passes).  The cached path must be at least ``--min-compile-speedup``
+(default 1.3×) faster — a hard floor on top of the usual median+MAD
+ledger gate.
 """
 
 import argparse
@@ -211,7 +212,7 @@ def run_compile_bench(args: argparse.Namespace, data, model):
 
     Trains one NSHD pipeline, then times the re-fit/A-B-eval workflow
     (``--compile-iters`` evaluations of the same test batch) with and
-    without the digest-keyed stage cache, and an exported bundle served
+    without a per-row stage cache, and an exported bundle served
     interpreted vs compiled (all fusion passes).  Both compiled arms
     must agree bit-exactly with their interpreted counterparts.
     Returns ``(record, cached_speedup)``.
@@ -238,7 +239,7 @@ def run_compile_bench(args: argparse.Namespace, data, model):
     # Arm 1: the A/B-eval workflow, interpreted-cold vs stage-cached.
     baseline = np.asarray(pipeline.predict(x_te))
     uncached_s = timed(lambda: pipeline.predict(x_te))
-    pipeline.set_stage_cache(StageCache())
+    pipeline.set_stage_cache(StageCache(max_entries=len(x_te)))
     cached_pred = np.asarray(pipeline.predict(x_te))
     cached_s = timed(lambda: pipeline.predict(x_te))
     cache_info = pipeline.stage_cache.info()

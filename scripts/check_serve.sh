@@ -30,9 +30,9 @@ from repro.serve import InferenceEngine, ModelServer  # noqa: E402
 
 bundle = synthetic_bundle(dim=1024, features=64, classes=8, seed=7)
 packed = InferenceEngine(bundle, cache_size=0, build_extractor=False)
-floating = InferenceEngine(bundle, use_packed=False, cache_size=0,
+floating = InferenceEngine(bundle, executors={}, cache_size=0,
                            build_extractor=False)
-assert packed.use_packed and not floating.use_packed
+assert packed.packed_path and not floating.packed_path
 
 rng = np.random.default_rng(7)
 features = rng.standard_normal((96, 64))

@@ -87,8 +87,8 @@ with tempfile.TemporaryDirectory() as tmp:
     ModelBundle.from_pipeline(pipeline, config={"gate": "stage_parity"},
                               binarize=True).save(packed_path)
     packed = InferenceEngine.from_path(packed_path, cache_size=0)
-    assert packed.use_packed, "binarized bundle did not select packed path"
-    floating = InferenceEngine.from_path(packed_path, use_packed=False,
+    assert packed.packed_path, "binarized bundle did not select packed path"
+    floating = InferenceEngine.from_path(packed_path, executors={},
                                          cache_size=0)
     np.testing.assert_array_equal(packed.predict_features(raw),
                                   floating.predict_features(raw))
@@ -115,7 +115,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     compiled_packed = InferenceEngine.from_path(
         packed_path, cache_size=0, passes="all", executors="auto")
-    assert compiled_packed.use_packed, \
+    assert compiled_packed.packed_path, \
         "compiled binarized bundle did not select packed executor"
     np.testing.assert_array_equal(compiled_packed.predict_features(raw),
                                   packed.predict_features(raw))

@@ -376,7 +376,7 @@ def main(argv=None) -> int:
         bundle = synthetic_bundle(args.dim, args.features, args.classes,
                                   args.seed)
     engine = InferenceEngine(
-        bundle, use_packed=(False if args.float_path else None),
+        bundle, executors=({} if args.float_path else None),
         cache_size=0, build_extractor=False)
     in_features = int(bundle.info["encoder"]["in_features"])
     rng = fresh_rng((args.seed, "serve-bench-load"))
@@ -450,7 +450,7 @@ def main(argv=None) -> int:
         "classes": int(bundle.info["num_classes"]),
         "requests": args.requests, "batch": args.batch,
         "clients": args.clients, "workers": args.workers,
-        "packed": engine.use_packed, "seed": args.seed,
+        "packed": engine.packed_path, "seed": args.seed,
     }
     record = RunRecord.capture(
         pipeline="serve", kind="serve", config=config, seed=args.seed,
@@ -506,7 +506,7 @@ def main(argv=None) -> int:
         # Compiled-vs-interpreted A/B on the same bundle + samples;
         # the delta is its own ledgered series (kind="compile").
         compiled = InferenceEngine(
-            bundle, use_packed=(False if args.float_path else None),
+            bundle, executors=({} if args.float_path else None),
             cache_size=0, build_extractor=False, passes="all")
         compiled.predict_features(samples[: min(64, len(samples))])
         if not np.array_equal(compiled.predict_features(samples),

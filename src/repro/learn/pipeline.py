@@ -73,9 +73,9 @@ class _HDPipeline:
     _train_rng: np.random.Generator
 
     #: Optional :class:`repro.pipeline.StageCache` shared across eval /
-    #: re-fit calls — outputs of frozen upstream stages (extract,
-    #: encode) are memoized under state+input digests, so repeated
-    #: A/B-eval sweeps skip the heavy GEMMs.  ``None`` disables.
+    #: re-fit calls — stage-slice outputs (extract, encode) are memoized
+    #: per row under stage-state + row digests, so repeated A/B-eval
+    #: sweeps skip the heavy GEMMs.  ``None`` disables.
     stage_cache = None
 
     def set_stage_cache(self, cache) -> None:

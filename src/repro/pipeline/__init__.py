@@ -9,9 +9,9 @@ layout.
 
 The compiler layer (``compile_graph``) rewrites frozen graphs with
 fusion passes (:mod:`repro.pipeline.passes`), binds pluggable per-stage
-executors (:mod:`repro.pipeline.executors`), and the digest-keyed
-:class:`StageCache` (:mod:`repro.pipeline.cache`) memoizes stage
-outputs across re-fit / A/B-eval workflows.
+executors (:mod:`repro.pipeline.executors`), and the per-row,
+digest-keyed :class:`StageCache` (:mod:`repro.pipeline.cache`) memoizes
+stage outputs for the serving engine and re-fit / A/B-eval workflows.
 """
 
 from .cache import StageCache, array_digest, canonical_json, stage_digest
@@ -23,16 +23,15 @@ from .graph import StageGraph
 from .passes import PASSES, fuse_pool, fuse_scale_encode, register_pass
 from .stages import (STAGE_TYPES, ClassifyStage, EncodeStage, ExtractStage,
                      FeatureScaler, FlattenStage, FusedEncodeStage,
-                     ManifoldReduceStage, PackedClassifyStage,
-                     ScalePoolStage, ScaleStage, Stage, StageError,
-                     clamped_norms, cosine_similarities, encoder_spec,
-                     register_stage, stage_from_spec)
+                     ManifoldReduceStage, ScalePoolStage, ScaleStage,
+                     Stage, StageError, clamped_norms, cosine_similarities,
+                     encoder_spec, register_stage, stage_from_spec)
 
 __all__ = [
     "Stage", "StageGraph", "StageError", "FeatureScaler",
     "ExtractStage", "FlattenStage", "ScaleStage", "ManifoldReduceStage",
     "EncodeStage", "FusedEncodeStage", "ScalePoolStage",
-    "ClassifyStage", "PackedClassifyStage",
+    "ClassifyStage",
     "cosine_similarities", "clamped_norms", "encoder_spec",
     "register_stage", "stage_from_spec", "STAGE_TYPES",
     # compiler layer

@@ -1,23 +1,23 @@
-"""Digest-keyed stage-output caching for :class:`StageGraph` runs.
+"""Per-row, digest-keyed output caching for :class:`StageGraph` runs.
 
-Re-fit and A/B-eval workflows (``bench_gate.py``, ``check_quality.py``,
-shadow-promotion exports) repeatedly push the *same* batches through the
-*same* frozen upstream stages — the truncated-CNN extract and the
-projection GEMM dominate, and their outputs are pure functions of
-``(stage weights, stage spec, input batch)``.  A :class:`StageCache`
-memoizes those outputs under a chained digest key::
+One cache serves every repeated-input workload: the serving engine's
+request path (hot rows skip the projection GEMM) and the re-fit /
+A/B-eval sweeps (``bench_gate.py``, ``check_quality.py``) that push the
+same batches through the same frozen upstream stages.  A
+:class:`StageCache` memoizes the output of a run's stage slice *per
+row* under::
 
-    key_0 = sha1(input-batch digest)
-    key_i = sha1(key_{i-1} + stage_i digest)
+    key = sha1(slice digest ‖ row dtype/shape ‖ row bytes)
+    slice digest = sha1(stage_digest(s) for s in the slice)
 
 where each stage digest covers the stage's canonical spec JSON *and*
-every one of its state arrays.  Any change to an upstream weight, a
-hyperparameter, or the input bytes therefore changes every downstream
-key — invalidation is automatic and there is no way to read a stale
-entry.  The cache is a bounded (entries *and* bytes) thread-safe LRU.
-
-Cached outputs are returned **by reference**: callers must treat stage
-outputs as immutable (every stage in this package already does).
+every one of its state arrays.  A changed weight, hyperparameter or
+input byte therefore changes the key — there is no way to read a stale
+entry.  A run looks every row up once, pushes all misses through the
+slice as one sub-batch, and returns a freshly assembled array: entries
+are stored as private copies and never handed out by reference, so a
+caller may mutate what it gets back.  The cache is a bounded (entries,
+plus :data:`MAX_BYTES`) thread-safe LRU.
 
 This module also owns :func:`canonical_json` — the deterministic
 (sorted keys, compact separators, normalized scalars) JSON encoder used
@@ -25,7 +25,8 @@ for topology digests and stage digests — so cache keys are stable
 across processes and platforms.
 
 Metrics: ``stagecache.hits`` / ``stagecache.misses`` /
-``stagecache.evictions``.
+``stagecache.evictions`` (one count per row; the serving engine's cache
+publishes under ``serve.cache.*`` instead).
 """
 
 from __future__ import annotations
@@ -35,13 +36,18 @@ import json
 import math
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, List, Sequence
 
 import numpy as np
 
 from ..telemetry import get_registry
 
-__all__ = ["StageCache", "canonical_json", "array_digest", "stage_digest"]
+__all__ = ["StageCache", "canonical_json", "array_digest", "stage_digest",
+           "slice_digest", "MAX_BYTES"]
+
+#: Byte budget of one cache; least-recently-used rows are evicted past
+#: it (a single row larger than the budget is never stored).
+MAX_BYTES = 256 << 20
 
 
 def _canonical(obj: Any) -> Any:
@@ -91,69 +97,109 @@ def stage_digest(stage) -> bytes:
     return digest.digest()
 
 
+def slice_digest(stages: Sequence) -> bytes:
+    """sha1 over the stage digests of a run's stage slice, in order."""
+    digest = hashlib.sha1(b"stage-slice-v1")
+    for stage in stages:
+        digest.update(stage_digest(stage))
+    return digest.digest()
+
+
 class StageCache:
-    """Bounded, thread-safe LRU of stage outputs keyed by digest chains.
+    """Bounded, thread-safe LRU of per-row stage-slice outputs.
 
     Pass an instance to :meth:`StageGraph.run` / :meth:`StageGraph.call`
-    (or set ``pipeline.set_stage_cache``) — stages whose ``cacheable``
-    flag is true (everything except the cheap classify stages) are
-    skipped on a key hit.
+    (or set ``pipeline.set_stage_cache``); the run's cacheable stages
+    (everything except the cheap classify stages) are skipped for every
+    row that hits.
     """
 
-    def __init__(self, max_entries: int = 64,
-                 max_bytes: int = 256 << 20):
+    hits_metric = "stagecache.hits"
+    misses_metric = "stagecache.misses"
+    evictions_metric = "stagecache.evictions"
+
+    def __init__(self, max_entries: int = 64):
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = int(max_entries)
-        self.max_bytes = int(max_bytes)
         self._data: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
         self._bytes = 0
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    # -- keying --------------------------------------------------------
-    def input_key(self, batch: np.ndarray) -> bytes:
-        """Chain seed: digest of the raw input batch."""
-        return hashlib.sha1(
-            b"stagecache-input" + array_digest(np.asarray(batch))).digest()
+    def run(self, digest: bytes, batch: np.ndarray,
+            compute: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``compute(batch)`` with per-row memoization under ``digest``.
 
-    def extend_key(self, key: bytes, stage) -> bytes:
-        """Chain step: fold one stage's digest into the running key."""
-        return hashlib.sha1(key + stage_digest(stage)).digest()
-
-    # -- storage -------------------------------------------------------
-    def lookup(self, key: bytes) -> Optional[np.ndarray]:
-        registry = get_registry()
+        ``digest`` identifies the computation (see :func:`slice_digest`);
+        rows of ``batch`` must be independent under ``compute``.  Misses
+        run through ``compute`` as one sub-batch; the result never
+        aliases a cache entry, so the caller may mutate it.
+        """
+        batch = np.ascontiguousarray(batch)
+        if not len(batch):
+            return compute(batch)
+        prefix = hashlib.sha1(digest)
+        prefix.update(f"{batch.dtype.str}{batch.shape[1:]}".encode("ascii"))
+        keys: List[bytes] = []
+        for row in batch:
+            key = prefix.copy()
+            key.update(row)
+            keys.append(key.digest())
+        found: List[tuple] = []
+        miss_idx: List[int] = []
         with self._lock:
-            value = self._data.get(key)
-            if value is None:
-                self.misses += 1
-                registry.inc("stagecache.misses")
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            registry.inc("stagecache.hits")
-            return value
-
-    def store(self, key: bytes, value: np.ndarray) -> None:
-        value = np.asarray(value)
-        if int(value.nbytes) > self.max_bytes:
-            return  # would evict the whole cache for one entry
+            for i, key in enumerate(keys):
+                value = self._data.get(key)
+                if value is None:
+                    miss_idx.append(i)
+                else:
+                    self._data.move_to_end(key)
+                    found.append((i, value))
+            self.hits += len(found)
+            self.misses += len(miss_idx)
         registry = get_registry()
+        registry.inc(self.hits_metric, len(found))
+        registry.inc(self.misses_metric, len(miss_idx))
+
+        if not miss_idx:
+            first = found[0][1]
+            out = np.empty((len(batch),) + first.shape, dtype=first.dtype)
+        else:
+            fresh = np.asarray(compute(batch if not found
+                                       else batch[miss_idx]))
+            self._store([keys[i] for i in miss_idx], fresh)
+            if not found:
+                return fresh
+            out = np.empty((len(batch),) + fresh.shape[1:],
+                           dtype=fresh.dtype)
+            out[miss_idx] = fresh
+        for i, value in found:
+            out[i] = value
+        return out
+
+    def _store(self, keys: List[bytes], rows: np.ndarray) -> None:
+        evicted = 0
         with self._lock:
-            old = self._data.pop(key, None)
-            if old is not None:
-                self._bytes -= int(old.nbytes)
-            self._data[key] = value
-            self._bytes += int(value.nbytes)
-            while self._data and (len(self._data) > self.max_entries
-                                  or self._bytes > self.max_bytes):
-                _, evicted = self._data.popitem(last=False)
-                self._bytes -= int(evicted.nbytes)
-                self.evictions += 1
-                registry.inc("stagecache.evictions")
+            for key, row in zip(keys, rows):
+                value = np.array(row)  # private copy, never aliased
+                if value.nbytes > MAX_BYTES:
+                    continue
+                old = self._data.pop(key, None)
+                if old is not None:
+                    self._bytes -= int(old.nbytes)
+                self._data[key] = value
+                self._bytes += int(value.nbytes)
+                while len(self._data) > self.max_entries \
+                        or self._bytes > MAX_BYTES:
+                    _, dropped = self._data.popitem(last=False)
+                    self._bytes -= int(dropped.nbytes)
+                    evicted += 1
+            self.evictions += evicted
+        if evicted:
+            get_registry().inc(self.evictions_metric, evicted)
 
     def clear(self) -> None:
         with self._lock:
@@ -164,11 +210,6 @@ class StageCache:
         with self._lock:
             return len(self._data)
 
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return (self.hits / total) if total else 0.0
-
     def info(self) -> Dict[str, Any]:
         with self._lock:
             total = self.hits + self.misses
@@ -178,8 +219,7 @@ class StageCache:
                     "misses": int(self.misses),
                     "evictions": int(self.evictions),
                     "hit_rate": (self.hits / total) if total else 0.0,
-                    "max_entries": self.max_entries,
-                    "max_bytes": self.max_bytes}
+                    "max_entries": self.max_entries}
 
     def __repr__(self) -> str:
         return (f"StageCache(entries={len(self)}, hits={self.hits}, "

@@ -65,32 +65,33 @@ def resolve_passes(passes: PassSpec) -> List[str]:
     return names
 
 
+def _queries_bipolar(graph: StageGraph) -> bool:
+    """Whether every encode stage hard-quantizes (so classify sees
+    bipolar queries — packed classify bit-packs the queries too)."""
+    encoders = [stage for stage in graph.stages
+                if getattr(stage, "encoder_type", None) is not None]
+    return bool(encoders) and all(
+        getattr(stage, "quantize", False) for stage in encoders)
+
+
 def _resolve_executors(graph: StageGraph, executors: ExecutorSpec
                        ) -> Dict[str, str]:
     """Normalize an executor request to ``{stage name → executor name}``.
 
-    ``"auto"`` selects the packed classify path where applicable (the
-    engine's historical auto-enable rule) and nothing else.  Explicit
-    maps are validated: the stage must exist in the *compiled* graph
-    and the executor must be registered and applicable.
+    ``"auto"`` selects the packed classify path wherever it applies and
+    nothing else — this is the one packed auto-selection rule.
+    Explicit maps are validated: the stage must exist in the *compiled*
+    graph and the executor must be registered and applicable; explicit
+    ``packed`` also needs quantizing encode stages.
     """
     if executors is None:
         return {}
     if executors == "auto":
-        # Packed classify needs bipolar *queries* too: only auto-enable
-        # when every encode stage in the graph hard-quantizes.
-        encoders = [stage for stage in graph.stages
-                    if getattr(stage, "encoder_type", None) is not None]
-        queries_bipolar = bool(encoders) and all(
-            getattr(stage, "quantize", False) for stage in encoders)
-        if not queries_bipolar:
+        if not _queries_bipolar(graph):
             return {}
-        plan = {}
         packed = EXECUTORS["packed"]
-        for stage in graph.stages:
-            if packed.applicable(stage):
-                plan[stage.name] = "packed"
-        return plan
+        return {stage.name: "packed" for stage in graph.stages
+                if packed.applicable(stage)}
     if not isinstance(executors, dict):
         raise CompileError(
             f"executors must be None, 'auto', or a {{stage: executor}} "
@@ -110,6 +111,11 @@ def _resolve_executors(graph: StageGraph, executors: ExecutorSpec
         stage = graph.stage(stage_name)
         if not executor.applicable(stage):
             raise CompileError(executor.why_not(stage))
+        if executor_name == "packed" and not _queries_bipolar(graph):
+            raise CompileError(
+                "executor 'packed' requires a quantizing encoder (the "
+                "queries must be bipolar to bit-pack); this graph's "
+                "encode stages emit continuous hypervectors")
         plan[stage_name] = executor_name
     return plan
 

@@ -17,11 +17,11 @@ Shipped executors (registry :data:`EXECUTORS`):
   from the single-call GEMM at the last ulp (BLAS blocking differs by
   tile height), so the parity gate asserts *labels* bit-exact and raw
   encodings within float tolerance;
-* ``packed`` — the uint64 XOR-popcount classify path, promoted from an
-  ``InferenceEngine`` special-case into a first-class executor.  Only
-  applicable to a frozen classify stage over a bipolar class matrix
-  (where it ranks identically to float cosine: integer dots, no
-  rounding).
+* ``packed`` — the uint64 XOR-popcount classify path, the only way to
+  put a graph on bit-packed inference.  Only applicable to a frozen
+  classify stage over a bipolar class matrix, in a graph whose encode
+  stages all quantize (checked by the compiler); there it ranks
+  identically to float cosine: integer dots, no rounding.
 """
 
 from __future__ import annotations
@@ -32,8 +32,10 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
+from ..hd.backend import pack_bipolar
 from ..hd.hypervector import is_bipolar
-from .stages import ClassifyStage, PackedClassifyStage, Stage, StageError
+from ..hd.similarity import packed_classify
+from .stages import ClassifyStage, Stage, StageError
 
 __all__ = ["EXECUTORS", "StageExecutor", "ExecutorStage",
            "register_executor", "NumpyExecutor", "ThreadedEncodeExecutor",
@@ -173,15 +175,22 @@ class ThreadedEncodeExecutor(StageExecutor):
 
 
 class _PackedStage(ExecutorStage):
-    """Executes a frozen classify stage via uint64 XOR-popcount."""
+    """Executes a frozen classify stage via uint64 XOR-popcount.
+
+    The class matrix is packed to uint64 words once at bind time; each
+    call packs the (bipolar) queries and ranks by XOR + popcount.
+    """
 
     def __init__(self, inner: ClassifyStage):
         super().__init__(inner, "packed")
-        self.packed = PackedClassifyStage.from_classify(inner)
+        matrix = np.asarray(inner.class_matrix, dtype=np.float64)
+        self.packed_classes = pack_bipolar(matrix)
+        self.dim = int(matrix.shape[1])
 
     def __call__(self, batch: np.ndarray, ctx: Optional[dict] = None
                  ) -> np.ndarray:
-        return self.packed(batch, ctx)
+        return packed_classify(self.packed_classes,
+                               pack_bipolar(np.atleast_2d(batch)), self.dim)
 
 
 @register_executor

@@ -12,7 +12,8 @@ executable description of an NSHD-family model:
   archive with the historical key names), and ``StageGraph.from_topology``
   rebuilds a **frozen** graph from the two;
 * the serving engine is a thin executor around a frozen graph — it calls
-  ``run``/``call`` and adds caching/batching, never math.
+  ``run`` (with its per-row :class:`StageCache`) and adds batching,
+  never math.
 
 Telemetry: the graph runner is the single place that emits ``stage.*``
 spans.  Training loops run stages with ``instrument=True`` (preserving
@@ -32,7 +33,7 @@ import numpy as np
 
 from ..telemetry import request_span, span
 from ..telemetry.reqtrace import HUB as _HUB
-from .cache import StageCache, canonical_json
+from .cache import StageCache, canonical_json, slice_digest
 from .stages import Stage, StageError, stage_from_spec
 
 __all__ = ["StageGraph"]
@@ -103,6 +104,24 @@ class StageGraph:
                 f"stages: {self.names}")
         return self._index[name]
 
+    def slice_digest(self, start: Optional[str] = None,
+                     stop: Optional[str] = None) -> bytes:
+        """Cache digest of the cacheable stages a ``run(start, stop)``
+        memoizes (the slice up to its first non-cacheable stage).
+
+        Callers holding a frozen graph compute this once and pass it to
+        :meth:`run` as ``digest``; live graphs must not, since their
+        weights change under training.
+        """
+        return slice_digest(self._cached_prefix(self._slice(start, stop)))
+
+    @staticmethod
+    def _cached_prefix(stages: List[Stage]) -> List[Stage]:
+        for i, stage in enumerate(stages):
+            if not getattr(stage, "cacheable", True):
+                return stages[:i]
+        return stages
+
     def call(self, name: str, batch: np.ndarray,
              ctx: Optional[dict] = None,
              cache: Optional[StageCache] = None) -> np.ndarray:
@@ -111,27 +130,23 @@ class StageGraph:
         This is what training loops use for per-batch stage execution —
         the span stream is identical to the hand-instrumented
         pre-refactor loops.  With a :class:`StageCache` the stage's
-        output is memoized under ``sha1(input digest + stage digest)``;
-        a hit still emits the span (with near-zero duration — that is
-        the truthful accounting for skipped work).
+        output is memoized per row (see :meth:`run`); the span covers
+        the whole call, hits included — that is the truthful accounting
+        for skipped work.
         """
         stage = self.stage(name)
         with span(stage.span_name,
                   nbytes=int(np.asarray(batch).nbytes)):
             if cache is not None and getattr(stage, "cacheable", True):
-                key = cache.extend_key(cache.input_key(batch), stage)
-                hit = cache.lookup(key)
-                if hit is not None:
-                    return hit
-                out = stage(batch, ctx)
-                cache.store(key, out)
-                return out
+                return cache.run(slice_digest([stage]), batch,
+                                 lambda rows: stage(rows, ctx))
             return stage(batch, ctx)
 
     def run(self, batch: np.ndarray, start: Optional[str] = None,
             stop: Optional[str] = None, ctx: Optional[dict] = None,
             instrument: bool = False,
-            cache: Optional[StageCache] = None) -> np.ndarray:
+            cache: Optional[StageCache] = None,
+            digest: Optional[bytes] = None) -> np.ndarray:
         """Execute stages ``[start, stop)`` (``stop`` exclusive) in order.
 
         ``instrument=True`` wraps each stage in its ``stage.*`` telemetry
@@ -145,22 +160,30 @@ class StageGraph:
         recorder / trace files without touching the aggregate ledger's
         stage accounting.
 
-        With a :class:`StageCache` each cacheable stage's output is
-        memoized under the running digest chain ``sha1(... + stage
-        digest)`` seeded from the input batch digest; hits skip the
-        stage (and its spans) entirely — no work, no accounting.
+        With a :class:`StageCache` the slice's cacheable stages are
+        looked up once per row under ``sha1(slice digest ‖ row)``; the
+        misses run as one sub-batch (spans and all) and hits skip the
+        work entirely.  ``digest`` is a precomputed
+        :meth:`slice_digest` for frozen graphs; without it the slice is
+        re-digested on every call, so an updated weight can never serve
+        a stale entry.
         """
-        out = batch
+        stages = self._slice(start, stop)
+        if cache is None:
+            return self._execute(stages, batch, ctx, instrument)
+        cached = self._cached_prefix(stages)
+        if cached:
+            if digest is None:
+                digest = slice_digest(cached)
+            batch = cache.run(digest, batch, lambda rows: self._execute(
+                cached, rows, ctx, instrument))
+        return self._execute(stages[len(cached):], batch, ctx, instrument)
+
+    @staticmethod
+    def _execute(stages: List[Stage], out: np.ndarray,
+                 ctx: Optional[dict], instrument: bool) -> np.ndarray:
         traced = _HUB.enabled and _HUB.current() is not None
-        key = cache.input_key(batch) if cache is not None else b""
-        for stage in self._slice(start, stop):
-            if cache is not None:
-                key = cache.extend_key(key, stage)
-                if getattr(stage, "cacheable", True):
-                    hit = cache.lookup(key)
-                    if hit is not None:
-                        out = hit
-                        continue
+        for stage in stages:
             if instrument:
                 with span(stage.span_name,
                           nbytes=int(np.asarray(out).nbytes)):
@@ -174,8 +197,6 @@ class StageGraph:
                     out = stage(out, ctx)
             else:
                 out = stage(out, ctx)
-            if cache is not None and getattr(stage, "cacheable", True):
-                cache.store(key, out)
         return out
 
     # -- serialization -------------------------------------------------

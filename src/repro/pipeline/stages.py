@@ -39,11 +39,9 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..hd.backend import pack_bipolar
 from ..hd.encoders import (Encoder, NonlinearEncoder,
                            RandomProjectionEncoder)
 from ..hd.hypervector import hard_quantize
-from ..hd.similarity import packed_classify
 from ..models.extractor import FeatureExtractor
 from ..telemetry import get_registry, span
 
@@ -51,7 +49,7 @@ __all__ = [
     "Stage", "StageError", "FeatureScaler",
     "ExtractStage", "FlattenStage", "ScaleStage", "ManifoldReduceStage",
     "EncodeStage", "FusedEncodeStage", "ScalePoolStage",
-    "ClassifyStage", "PackedClassifyStage",
+    "ClassifyStage",
     "cosine_similarities", "clamped_norms", "encoder_spec",
     "register_stage", "stage_from_spec", "STAGE_TYPES",
 ]
@@ -874,47 +872,3 @@ class ClassifyStage(Stage):
             raise StageError("classify stage requires classes")
         return cls.from_matrix(arrays["classes"],
                                name=spec.get("name", "classify"))
-
-
-class PackedClassifyStage(Stage):
-    """Bit-packed XOR-popcount classifier (bipolar operands only).
-
-    The serving fast path: class hypervectors packed to uint64 words,
-    queries packed per call, similarity = XOR + popcount.  Ranks
-    identically to the float cosine path for bipolar operands (integer
-    dots, no rounding).  Derived from a frozen :class:`ClassifyStage` at
-    engine-load time — it is an execution *variant*, not a separate
-    topology entry, so it is not registered for serialization.
-    """
-
-    stage_type = "classify_packed"
-    span_name = "stage.similarity"
-    cacheable = False
-
-    def __init__(self, packed_classes: np.ndarray, dim: int,
-                 name: str = "classify_packed"):
-        super().__init__(name)
-        self.packed_classes = np.asarray(packed_classes, dtype=np.uint64)
-        self.dim = int(dim)
-
-    def __call__(self, batch: np.ndarray, ctx: Optional[dict] = None
-                 ) -> np.ndarray:
-        packed = pack_bipolar(np.atleast_2d(batch))
-        return packed_classify(self.packed_classes, packed, self.dim)
-
-    def spec(self) -> Dict[str, Any]:
-        return {"type": self.stage_type, "name": self.name,
-                "dim": self.dim}
-
-    @classmethod
-    def from_class_matrix(cls, matrix: np.ndarray,
-                          name: str = "classify_packed"
-                          ) -> "PackedClassifyStage":
-        matrix = np.asarray(matrix, dtype=np.float64)
-        return cls(pack_bipolar(matrix), matrix.shape[1], name=name)
-
-    @classmethod
-    def from_classify(cls, stage: ClassifyStage,
-                      name: str = "classify_packed"
-                      ) -> "PackedClassifyStage":
-        return cls.from_class_matrix(stage.class_matrix, name=name)

@@ -10,7 +10,8 @@ once, serves many):
 * :mod:`~repro.serve.engine` — :class:`InferenceEngine`, the fused
   forward path: bit-packed XOR-popcount classification for binarized
   bundles (bit-exact with the float pipeline), cached class norms, and
-  an LRU over encoded hypervectors.
+  a per-row :class:`~repro.pipeline.StageCache` over encoded
+  hypervectors.
 * :mod:`~repro.serve.batching` — :class:`MicroBatcher`, dynamic
   micro-batching with a worker pool, per-request deadlines, and
   watermark overload shedding (:mod:`repro.reliability.degrade`).

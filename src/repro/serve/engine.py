@@ -9,16 +9,17 @@ engine itself contains **no stage math**: no scaling, no manifold
 reduction, no encoding, no similarity expressions — it adds exactly the
 serving concerns:
 
-* an LRU cache keyed by the sha1 of each sample's raw feature bytes that
-  memoizes encoded hypervectors, so repeated queries skip the projection
-  GEMM entirely (``serve.cache.hits`` / ``serve.cache.misses``);
-* automatic selection of the **bit-packed XOR-popcount fast path**
-  (:class:`repro.pipeline.PackedClassifyStage`) when the bundle's class
-  matrix is bipolar (``binarize=True`` export) and the encoder emits
-  bipolar queries — it ranks identically to the float cosine stage for
-  bipolar operands (integer dots, no rounding);
-* a load-time :meth:`selfcheck` proving the packed stage agrees with the
-  float reference kernels on random probes;
+* a per-row :class:`~repro.pipeline.StageCache` under the encode slice,
+  keyed by the frozen slice's digest and each sample's raw feature
+  bytes, so repeated queries skip the projection GEMM entirely
+  (``serve.cache.hits`` / ``serve.cache.misses``);
+* the executor map the bundle's compile plan (or the caller) asks for —
+  ``"auto"`` when the plan has none, which puts classify on the
+  **bit-packed XOR-popcount** executor when the class matrix is bipolar
+  (``binarize=True`` export) and the encoder quantizes; ``{}`` forces
+  the float cosine path;
+* a load-time :meth:`selfcheck` proving the packed executor agrees with
+  the float reference kernels on random probes;
 * request/sample counters and ``serve.*`` spans for the telemetry layer.
 
 Pre-refactor bundles (no ``info["graph"]`` topology) are served through
@@ -28,9 +29,6 @@ equivalent topology from the legacy provenance fields.
 
 from __future__ import annotations
 
-import hashlib
-import threading
-from collections import OrderedDict
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -38,7 +36,7 @@ import numpy as np
 from ..hd.similarity import classify
 from ..pipeline import (ClassifyStage, CompileError, ExtractStage,
                         FlattenStage, StageCache, compile_graph)
-from ..telemetry import get_registry, request_span, span
+from ..telemetry import get_registry, span
 from ..telemetry.quality import DriftMonitor, QualityBaseline
 from ..utils.rng import fresh_rng
 from .bundle import BundleError, ModelBundle
@@ -50,44 +48,6 @@ class EngineSelfCheckError(RuntimeError):
     """The packed fast path disagreed with the reference kernel."""
 
 
-class _EncodedLRU:
-    """Thread-safe LRU of encoded hypervectors keyed by feature digest."""
-
-    def __init__(self, max_entries: int):
-        self.max_entries = int(max_entries)
-        self._data: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: bytes) -> Optional[np.ndarray]:
-        with self._lock:
-            value = self._data.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: bytes, value: np.ndarray) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.max_entries:
-                self._data.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def info(self) -> Dict[str, int]:
-        with self._lock:
-            return {"entries": len(self._data), "hits": self.hits,
-                    "misses": self.misses,
-                    "max_entries": self.max_entries}
-
-
 class InferenceEngine:
     """Cache-accelerated StageGraph executor over a frozen model bundle.
 
@@ -95,12 +55,9 @@ class InferenceEngine:
     ----------
     bundle:
         A validated :class:`ModelBundle` (``validate()`` is called here).
-    use_packed:
-        Force (True) or forbid (False) the bit-packed XOR-popcount path;
-        default ``None`` auto-enables it when the class matrix is
-        strictly bipolar.  Forcing it on a non-binary bundle raises.
     cache_size:
-        LRU capacity (entries) for encoded hypervectors; 0 disables.
+        Capacity (rows) of the :class:`StageCache` holding encoded
+        hypervectors; 0 disables.
     build_extractor:
         Keep the truncated-CNN ``extract`` stage in the graph so
         :meth:`predict` accepts raw NCHW images.  Disable for servers
@@ -123,28 +80,22 @@ class InferenceEngine:
         ``None`` uses the bundle's persisted plan
         (``info["compile"]``); pre-compile bundles default to none.
     executors:
-        Executor assignment: ``"auto"``, a ``{stage name → executor
-        name}`` map, or ``None`` for the bundle's plan.  The classify
-        entry interacts with ``use_packed``: an explicit ``use_packed``
-        always wins, an explicit classify executor settles the default,
-        otherwise the historical auto-enable rule applies.
-    stage_cache_size:
-        Entry capacity of the digest-keyed :class:`StageCache` placed
-        under ``encode_features`` batch runs; 0 (default) disables it
-        (the per-sample encoded LRU already covers the request path —
-        the stage cache pays off for repeated *batch* eval workloads).
+        Executor assignment — the only packed-path selector: ``"auto"``
+        (packed classify where it applies), a ``{stage name → executor
+        name}`` map (``{}`` forces the float path; ``{"classify":
+        "packed"}`` on a bundle that cannot bit-pack raises
+        :class:`BundleError`), or ``None`` for the bundle's plan,
+        ``"auto"`` when the plan has none.
     """
 
     def __init__(self, bundle: ModelBundle,
-                 use_packed: Optional[bool] = None,
                  cache_size: int = 256,
                  build_extractor: bool = True,
                  selfcheck: bool = True,
                  quality: Optional[bool] = None,
                  quality_window: int = 512,
                  passes=None,
-                 executors=None,
-                 stage_cache_size: int = 0):
+                 executors=None):
         bundle.validate()
         self.bundle = bundle
         info = bundle.info
@@ -158,7 +109,8 @@ class InferenceEngine:
         if passes is None:
             passes = list(plan.passes)
         if executors is None:
-            executors = plan.executors
+            executors = ("auto" if plan.executors is None
+                         else plan.executors)
         classify_stage = base.stages[-1]
         if not isinstance(classify_stage, ClassifyStage):
             raise BundleError(
@@ -170,37 +122,10 @@ class InferenceEngine:
         if encode_stage is None:
             raise BundleError("bundle graph has no encode stage")
         self._encoder_type = encode_stage.encoder_type
-        self._encoder_quantize = bool(encode_stage.quantize)
-
-        # -- packed fast-path selection (now an executor binding) ------
-        binary = bundle.binary_classes
-        classify_name = classify_stage.name
-        exec_map = (dict(executors) if isinstance(executors, dict)
-                    else {})
-        if use_packed is None:
-            explicit = exec_map.get(classify_name)
-            if explicit is not None:
-                use_packed = explicit == "packed"
-            else:
-                use_packed = binary and self._encoder_quantize \
-                    and self._encoder_type == "random_projection"
-        if use_packed and not binary:
-            raise BundleError(
-                "use_packed=True requires a bipolar class matrix — "
-                "export the bundle with binarize=True")
-        if use_packed and not self._encoder_quantize:
-            raise BundleError(
-                "use_packed=True requires a quantizing encoder (the "
-                "queries must be bipolar to bit-pack); this bundle's "
-                "encoder emits continuous hypervectors")
-        if use_packed:
-            exec_map[classify_name] = "packed"
-        elif exec_map.get(classify_name) == "packed":
-            del exec_map[classify_name]
 
         try:
             result = compile_graph(base, passes=passes,
-                                   executors=exec_map)
+                                   executors=executors)
         except CompileError as exc:
             raise BundleError(f"bundle graph failed to compile: "
                               f"{exc}") from exc
@@ -208,13 +133,10 @@ class InferenceEngine:
         self.compile_passes = list(result.passes_applied)
         self.executor_plan = dict(result.executor_plan)
 
-        # The float classify stage (for similarities / drift monitor)
-        # and the executor actually answering requests.
-        self._classify_exec = self.graph.stages[-1]
-        self._classify = getattr(self._classify_exec, "inner",
-                                 self._classify_exec)
-        self._packed_stage = getattr(self._classify_exec, "packed", None)
-        self.use_packed = self._packed_stage is not None
+        # The float classify stage (for similarities / drift monitor);
+        # the graph's last stage is whatever executor compile() bound.
+        classify_exec = self.graph.stages[-1]
+        self._classify = getattr(classify_exec, "inner", classify_exec)
 
         # Feature interface: the first stage after extract/flatten (the
         # fuse passes may have renamed or removed interior stages).
@@ -235,9 +157,17 @@ class InferenceEngine:
                           if isinstance(first_inner, ExtractStage)
                           else None)
 
-        self._cache = _EncodedLRU(cache_size) if cache_size > 0 else None
-        self._stage_cache = (StageCache(max_entries=stage_cache_size)
-                             if stage_cache_size > 0 else None)
+        self._cache: Optional[StageCache] = None
+        self._encode_digest: Optional[bytes] = None
+        if cache_size > 0:
+            self._cache = StageCache(max_entries=cache_size)
+            self._cache.hits_metric = "serve.cache.hits"
+            self._cache.misses_metric = "serve.cache.misses"
+            self._cache.evictions_metric = "serve.cache.evictions"
+            # The graph is frozen: digest the encode slice once, not
+            # per request.
+            self._encode_digest = self.graph.slice_digest(
+                self._feature_entry, self._classify_name)
 
         # -- streaming drift monitor (training baseline in manifest) ---
         baseline_dict = info.get("quality_baseline")
@@ -254,7 +184,7 @@ class InferenceEngine:
                 QualityBaseline.from_dict(baseline_dict),
                 window=quality_window)
 
-        if selfcheck and self.use_packed:
+        if selfcheck and self.packed_path:
             self.selfcheck()
 
     # ------------------------------------------------------------------
@@ -275,63 +205,26 @@ class InferenceEngine:
         """
         return self._classify.class_matrix
 
-    # -- packed-stage plumbing (kept for API/test compatibility) -------
     @property
-    def _class_matrix(self) -> np.ndarray:
-        return self._classify.class_matrix
-
-    @property
-    def _packed_classes(self) -> Optional[np.ndarray]:
-        return (None if self._packed_stage is None
-                else self._packed_stage.packed_classes)
-
-    @_packed_classes.setter
-    def _packed_classes(self, value: np.ndarray) -> None:
-        if self._packed_stage is None:
-            raise BundleError("engine has no packed fast path")
-        self._packed_stage.packed_classes = np.asarray(value,
-                                                       dtype=np.uint64)
+    def packed_path(self) -> bool:
+        """Whether classify runs on the packed XOR-popcount executor."""
+        return self.executor_plan.get(self._classify_name) == "packed"
 
     # ------------------------------------------------------------------
     def encode_features(self, raw_features: np.ndarray) -> np.ndarray:
-        """Query hypervectors for ``(n, F)`` raw features (LRU-cached).
+        """Query hypervectors for ``(n, F)`` raw features (row-cached).
 
-        Executes the graph's ``scale → (reduce) → encode`` slice; the
-        LRU sits in front of it, keyed per sample.
+        Executes the graph's ``scale → (reduce) → encode`` slice through
+        the engine's :class:`StageCache`; the result is always a fresh
+        array the caller may mutate.
         """
         raw_features = np.atleast_2d(
             np.asarray(raw_features, dtype=np.float64))
-        registry = get_registry()
-        if self._cache is None:
-            with span("serve.encode", nbytes=int(raw_features.nbytes)):
-                return self.graph.run(raw_features,
-                                      start=self._feature_entry,
-                                      stop=self._classify_name,
-                                      cache=self._stage_cache)
-
-        keys = [hashlib.sha1(np.ascontiguousarray(row).tobytes()).digest()
-                for row in raw_features]
-        encoded = np.empty((len(raw_features), self.dim), dtype=np.float64)
-        miss_idx = []
-        for i, key in enumerate(keys):
-            hit = self._cache.get(key)
-            if hit is None:
-                miss_idx.append(i)
-            else:
-                encoded[i] = hit
-        registry.inc("serve.cache.hits", len(keys) - len(miss_idx))
-        registry.inc("serve.cache.misses", len(miss_idx))
-        if miss_idx:
-            misses = raw_features[miss_idx]
-            with span("serve.encode", nbytes=int(misses.nbytes)):
-                fresh = self.graph.run(misses,
-                                       start=self._feature_entry,
-                                       stop=self._classify_name,
-                                       cache=self._stage_cache)
-            for j, i in enumerate(miss_idx):
-                encoded[i] = fresh[j]
-                self._cache.put(keys[i], fresh[j].copy())
-        return encoded
+        with span("serve.encode", nbytes=int(raw_features.nbytes)):
+            return self.graph.run(raw_features, start=self._feature_entry,
+                                  stop=self._classify_name,
+                                  cache=self._cache,
+                                  digest=self._encode_digest)
 
     def similarities(self, encoded: np.ndarray) -> np.ndarray:
         """Cosine similarities from the frozen classify stage.
@@ -353,15 +246,8 @@ class InferenceEngine:
         registry.inc("serve.samples", len(raw_features))
         with span("serve.predict", nbytes=int(raw_features.nbytes)):
             encoded = self.encode_features(raw_features)
-            # The classify stage runs outside graph.run (the encoded
-            # LRU sits between), so give it its own request-trace stage
-            # span — every StageGraph stage shows up per request.  The
-            # stage itself is whatever executor compile() bound (float
-            # cosine or the packed XOR-popcount wrapper).
-            stage = self._classify_exec
-            with request_span(getattr(stage, "span_name",
-                                      "stage.similarity")):
-                labels = np.asarray(stage(encoded))
+            labels = np.asarray(self.graph.run(
+                encoded, start=self._classify_name))
             if self.quality is not None:
                 self._observe_quality(raw_features, labels, encoded)
             return labels
@@ -405,12 +291,12 @@ class InferenceEngine:
         matrices all three rank identically).  Raises
         :class:`EngineSelfCheckError` on any disagreement.
         """
-        if not self.use_packed:
+        if not self.packed_path:
             return True
         rng = fresh_rng((seed, "serve-selfcheck"))
         hvs = np.where(rng.random((probes, self.dim)) < 0.5, -1.0, 1.0)
-        got = self._packed_stage(hvs)
-        want_dot = classify(self._class_matrix, hvs, metric="dot")
+        got = self.graph.stages[-1](hvs)
+        want_dot = classify(self.class_matrix, hvs, metric="dot")
         want_cos = np.asarray(self._classify(hvs))
         if not np.array_equal(got, want_dot):
             raise EngineSelfCheckError(
@@ -423,15 +309,10 @@ class InferenceEngine:
         return True
 
     # ------------------------------------------------------------------
-    def cache_info(self) -> Dict[str, int]:
+    def cache_info(self) -> Dict[str, Any]:
         if self._cache is None:
             return {"entries": 0, "hits": 0, "misses": 0, "max_entries": 0}
         return self._cache.info()
-
-    def stage_cache_info(self) -> Optional[Dict[str, Any]]:
-        """Digest-keyed stage-cache stats; ``None`` when disabled."""
-        return (None if self._stage_cache is None
-                else self._stage_cache.info())
 
     def describe(self) -> Dict[str, Any]:
         """Engine facts for /healthz and logs."""
@@ -439,15 +320,14 @@ class InferenceEngine:
             "pipeline": self.pipeline_name,
             "dim": self.dim,
             "num_classes": self.num_classes,
-            "packed": self.use_packed,
+            "packed": self.packed_path,
             "encoder": self._encoder_type,
             "graph": self.graph.describe(),
             "has_extractor": self.extractor is not None,
             "has_manifold": "reduce" in self.graph,
             "cache": self.cache_info(),
             "compile": {"passes": list(self.compile_passes),
-                        "executors": dict(self.executor_plan),
-                        "stage_cache": self.stage_cache_info()},
+                        "executors": dict(self.executor_plan)},
             "quality": (None if self.quality is None
                         else self.quality.describe()),
             "config_fingerprint": self.bundle.info.get(
@@ -456,4 +336,4 @@ class InferenceEngine:
 
     def __repr__(self) -> str:
         return (f"InferenceEngine({self.pipeline_name}, dim={self.dim}, "
-                f"classes={self.num_classes}, packed={self.use_packed})")
+                f"classes={self.num_classes}, packed={self.packed_path})")

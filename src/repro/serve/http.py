@@ -9,9 +9,12 @@ its response.  ``GET /metrics``, ``/tracez``, ``/requestz`` and
 The edge contract: a client's malformed request is a 4xx, never a 5xx
 that a router would retry fleet-wide.  :meth:`Handler.read_body`
 answers a junk ``Content-Length`` with **400** and a body over
-:data:`MAX_BODY_BYTES` with **413**; a :class:`RequestError` from a
-route answers its status, and any other exception **500** instead of
-a dropped connection.  :meth:`Handler.send` echoes the trace context
+:data:`MAX_BODY_BYTES` with **413** (the model server likewise answers
+more than :data:`MAX_ROWS` feature rows with 413); a
+:class:`RequestError` from a route answers its status, and any other
+exception **500** instead of a dropped connection.  A body the route
+never read is drained before the answer, so a client still sending it
+is not reset.  :meth:`Handler.send` echoes the trace context
 (``X-Trace-Id`` + ``traceparent``) on every response.
 """
 
@@ -31,13 +34,18 @@ from ..telemetry import (AlertManager, get_flight_recorder, get_registry,
 from ..telemetry.reqtrace import HUB as _HUB
 from ..telemetry.reqtrace import TraceContext, _RequestTrace
 
-__all__ = ["HTTPService", "Handler", "MAX_BODY_BYTES", "RequestError"]
+__all__ = ["HTTPService", "Handler", "MAX_BODY_BYTES", "MAX_ROWS",
+           "RequestError"]
 
 #: Largest request body either front end reads (413 above it).  A
 #: 32-row /predict over 1024 features is ~0.7 MB of JSON; this leaves
 #: head-room for large batches while bounding what one request can
 #: make a process buffer.
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: Most feature rows one ``/predict`` or ``/feedback`` request may carry
+#: (413 above it), so one request cannot monopolize the batcher.
+MAX_ROWS = 4096
 
 #: Exceptions raised when the client hangs up mid-request/-response.
 DISCONNECTS = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
@@ -98,11 +106,15 @@ class Handler(BaseHTTPRequestHandler):
             get_registry().inc(app.internal_error_metric)
             response = (500, {"error": f"{type(exc).__name__}: {exc}"})
         status, body, *headers = response
+        if not self.body_read:
+            # Drain a body the route did not read: left in the socket it
+            # would be parsed as the next request line, and closing on
+            # it resets the connection under a client still sending.
+            # An unframeable one (junk or oversized Content-Length)
+            # makes read_body mark the connection for closing instead.
+            with contextlib.suppress(RequestError):
+                self.read_body()
         self.send(status, body, headers=headers[0] if headers else None)
-        if not self.body_read and \
-                self.headers.get("Content-Length", "0").strip() != "0":
-            # An unread body would be parsed as the next request line.
-            self.close_connection = True
 
     @contextlib.contextmanager
     def traced(self, name: str) -> Iterator[_RequestTrace]:

@@ -10,7 +10,7 @@ the worker processes a :class:`~repro.serve.fleet.Supervisor` (or
   placed on a hash ring built over the *stable* fleet membership, then
   served by the nearest *healthy* worker clockwise.  Identical feature
   payloads therefore keep landing on the same worker, preserving each
-  worker's encoded-hypervector LRU locality; when a worker leaves
+  worker's encoded-hypervector cache locality; when a worker leaves
   rotation only its arc of keys moves.
 * **Health gating + circuit breakers.**  Routing only considers workers
   the supervisor reports ``up``, and each worker is additionally

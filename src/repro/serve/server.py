@@ -17,7 +17,8 @@ Endpoints
     Degradation mapping: admission-control rejection → **503** with
     ``Retry-After``; per-request deadline expiry → **504**; malformed
     input (including a row width other than the engine's
-    ``feature_width``) → **400**; engine failure → **500**.
+    ``feature_width``) → **400**; more than ``MAX_ROWS`` rows →
+    **413**; engine failure → **500**.
 ``GET /healthz``
     Engine + batcher + shedder facts as JSON (status ``ok`` /
     ``shedding`` / ``draining``), plus the bundle identity (version,
@@ -63,7 +64,7 @@ from ..telemetry.reqtrace import TraceContext
 from .batching import MicroBatcher
 from .bundle import BundleError, ModelBundle
 from .engine import EngineSelfCheckError, InferenceEngine
-from .http import Handler, HTTPService, RequestError, Response
+from .http import MAX_ROWS, Handler, HTTPService, RequestError, Response
 
 __all__ = ["ModelServer", "RequestError", "ReloadError"]
 
@@ -76,11 +77,21 @@ _ONLINE_OFF = (404, {"error": "online learning is not enabled on this "
                               "server"})
 
 
+def _check_row_count(features: Any) -> None:
+    """413 when a JSON ``features`` value carries over MAX_ROWS rows."""
+    if isinstance(features, list) and len(features) > MAX_ROWS \
+            and isinstance(features[0], list):
+        raise RequestError(
+            f"request carries {len(features)} feature rows; the limit "
+            f"is {MAX_ROWS}", 413)
+
+
 def _parse_features(body: bytes, width: Optional[int] = None) -> np.ndarray:
     """Decode and shape-check the /predict request body.
 
     ``width`` is the engine's expected feature count per row; a wrong
     width is the client's error (400), not an engine failure (500).
+    More than :data:`~repro.serve.http.MAX_ROWS` rows is a 413.
     """
     try:
         payload = json.loads(body.decode("utf-8"))
@@ -88,6 +99,7 @@ def _parse_features(body: bytes, width: Optional[int] = None) -> np.ndarray:
         raise RequestError(f"request body is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "features" not in payload:
         raise RequestError('request body must be {"features": [...]}')
+    _check_row_count(payload["features"])
     try:
         features = np.asarray(payload["features"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -127,8 +139,8 @@ class ModelServer(HTTPService):
         engine is atomically swapped behind the batcher.
     engine_options:
         Keyword arguments for the :class:`InferenceEngine` built on
-        reload (``cache_size``, ``use_packed``, ...).  Defaults to the
-        current engine's cache capacity with packed auto-selection.
+        reload (``cache_size``, ``executors``, ...).  Defaults to the
+        current engine's cache capacity and the bundle's executor plan.
     chaos:
         Route the fault-injection ``POST /slow`` endpoint (never enable
         outside tests/chaos harnesses).  Defaults to the
@@ -333,8 +345,9 @@ class ModelServer(HTTPService):
         "request_id": "<id from /predict>"}``.  Updates only the
         *shadow* copy — the live engine is untouched until a promotion
         passes every gate.  404 when online learning is disabled or the
-        request_id fell out of the window, 422 when the numerics guard
-        vetoes the payload, 429 when rate-limited.
+        request_id fell out of the window, 413 over ``MAX_ROWS`` rows,
+        422 when the numerics guard vetoes the payload, 429 when
+        rate-limited.
         """
         registry = get_registry()
         registry.inc("serve.feedback.requests")
@@ -348,6 +361,11 @@ class ModelServer(HTTPService):
         except (ValueError, RecursionError) as exc:
             registry.inc("serve.feedback.bad_request")
             return 400, {"error": f"invalid feedback body: {exc}"}
+        try:
+            _check_row_count(payload.get("features"))
+        except RequestError as exc:
+            registry.inc("serve.feedback.bad_request")
+            return exc.status, {"error": str(exc)}
         status, reply = self.online.feedback(payload)
         if status == 400:
             registry.inc("serve.feedback.bad_request")
@@ -438,7 +456,7 @@ class ModelServer(HTTPService):
             "engine": self.engine.describe(),
             # getattr: engines are duck-typed (façades/wrappers may not
             # carry the packed-path flag).
-            "mode": ("packed" if getattr(self.engine, "use_packed", False)
+            "mode": ("packed" if getattr(self.engine, "packed_path", False)
                      else "float"),
             "bundle": {
                 "version": info.get("bundle_version"),
@@ -471,15 +489,11 @@ class ModelServer(HTTPService):
             cache_info = getattr(self.engine, "cache_info", None)
             cache = cache_info() if callable(cache_info) else {}
             lookups = cache.get("hits", 0) + cache.get("misses", 0)
-            stage_cache_info = getattr(self.engine, "stage_cache_info",
-                                       None)
-            stage_cache = (stage_cache_info()
-                           if callable(stage_cache_info) else None)
             payload["engine_vitals"] = {
                 "cache_hit_rate": (cache["hits"] / lookups
                                    if lookups else None),
                 "cache_entries": cache.get("entries", 0),
-                "packed_path": bool(getattr(self.engine, "use_packed",
+                "packed_path": bool(getattr(self.engine, "packed_path",
                                             False)),
                 "quality_monitor": getattr(self.engine, "quality",
                                            None) is not None,
@@ -487,10 +501,6 @@ class ModelServer(HTTPService):
                                                "compile_passes", [])),
                 "executor_plan": dict(getattr(self.engine,
                                               "executor_plan", {})),
-                "stage_cache_hit_rate": (
-                    None if stage_cache is None
-                    else stage_cache.get("hit_rate")),
-                "stage_cache": stage_cache,
                 "last_reload_ts": self.last_reload_ts,
                 "started_at": self.started_at,
                 "uptime_s": time.time() - self.started_at,

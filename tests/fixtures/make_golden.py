@@ -131,7 +131,7 @@ def main() -> None:
             packed_bundle.save(
                 os.path.join(HERE, f"golden_{name}_bundle_packed.npz"))
             packed_engine = InferenceEngine(packed_bundle, cache_size=0)
-            assert packed_engine.use_packed
+            assert packed_engine.packed_path
             golden[f"{name}.packed_labels"] = np.asarray(
                 packed_engine.predict_features(raw))
 

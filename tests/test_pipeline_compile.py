@@ -6,12 +6,14 @@ import pytest
 from repro.hd.encoders import NonlinearEncoder, RandomProjectionEncoder
 from repro.learn.manifold import ManifoldLearner
 from repro.pipeline import (EXECUTORS, PASSES, ClassifyStage, CompileError,
-                            CompilePlan, EncodeStage, FeatureScaler,
-                            FusedEncodeStage, ManifoldReduceStage,
+                            CompilePlan, EncodeStage, ExecutorStage,
+                            FeatureScaler, FusedEncodeStage,
+                            ManifoldReduceStage,
                             ScalePoolStage, ScaleStage, StageCache,
                             StageError, StageGraph, canonical_json,
                             compile_graph, resolve_passes, stage_from_spec)
 from repro.learn.pipeline import VanillaHD
+from repro.pipeline import cache as cache_module
 from repro.serve import ModelBundle
 from repro.serve.__main__ import load_config
 from repro.serve.bundle import BundleError
@@ -250,6 +252,15 @@ class TestExecutors:
         result = compile_graph(frozen, passes=None, executors="auto")
         assert result.executor_plan == {}
 
+    def test_explicit_packed_refuses_unquantized_queries(
+            self, synthetic_bundle):
+        # The same precondition binds explicit requests: compiling must
+        # fail up front, not leave every run to raise in pack_bipolar.
+        graph = synthetic_bundle().build_graph(build_extractor=False)
+        graph.stage("encode").encoder.quantize = False
+        with pytest.raises(CompileError, match="quantizing encoder"):
+            compile_graph(graph, executors={"classify": "packed"})
+
 
 # ----------------------------------------------------------------------
 # Stage cache
@@ -257,11 +268,11 @@ class TestExecutors:
 class TestStageCache:
     def test_second_run_hits(self, rng):
         frozen, batch = _scale_encode_graph(rng)
-        cache = StageCache()
+        cache = StageCache(max_entries=len(batch))
         first = frozen.run(batch, cache=cache)
-        assert cache.hits == 0 and cache.misses == 2  # scale, encode
+        assert cache.hits == 0 and cache.misses == len(batch)  # per row
         second = frozen.run(batch, cache=cache)
-        assert cache.hits == 2  # classify is not cacheable
+        assert cache.hits == len(batch)  # classify is not cacheable
         np.testing.assert_array_equal(second, first)
 
     def test_different_input_misses(self, rng):
@@ -278,15 +289,15 @@ class TestStageCache:
         encode = frozen.stage("encode")
         encode.encoder.projection = -encode.encoder.projection
         after = frozen.run(batch, cache=cache)
-        assert cache.hits <= 1  # scale may hit; encode chain must not
+        assert cache.hits == 0  # the slice digest covers the weights
         assert not np.array_equal(after, before)
 
     def test_call_caches_single_stage(self, rng):
         frozen, batch = _scale_encode_graph(rng)
-        cache = StageCache()
+        cache = StageCache(max_entries=len(batch))
         first = frozen.call("scale", batch, cache=cache)
         second = frozen.call("scale", batch, cache=cache)
-        assert cache.hits == 1
+        assert cache.hits == len(batch)
         np.testing.assert_array_equal(second, first)
 
     def test_classify_not_cached(self, rng):
@@ -304,43 +315,82 @@ class TestStageCache:
         assert len(cache) == 1
         assert cache.evictions >= 1
 
-    def test_oversized_value_not_stored(self):
-        cache = StageCache(max_entries=4, max_bytes=64)
-        cache.store(b"key", np.zeros(1024))
+    def test_oversized_value_not_stored(self, rng, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_BYTES", 64)
+        frozen, batch = _scale_encode_graph(rng)  # 128-dim float rows
+        cache = StageCache(max_entries=4)
+        frozen.run(batch[:2], stop="classify", cache=cache)
         assert len(cache) == 0
 
-    def test_byte_bound_evicts(self):
-        cache = StageCache(max_entries=16, max_bytes=2048)
-        for i in range(4):
-            cache.store(bytes([i]) * 4, np.zeros(128))  # 1 KiB each
+    def test_byte_bound_evicts(self, rng, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_BYTES", 2048)
+        frozen, batch = _scale_encode_graph(rng)  # 1 KiB per row
+        cache = StageCache(max_entries=16)
+        frozen.run(batch[:4], stop="classify", cache=cache)
         assert len(cache) <= 2
         assert cache.evictions >= 2
 
     def test_info_and_hit_rate(self, rng):
         frozen, batch = _scale_encode_graph(rng)
-        cache = StageCache()
+        cache = StageCache(max_entries=len(batch))
         frozen.run(batch, cache=cache)
         frozen.run(batch, cache=cache)
         info = cache.info()
-        assert info["hits"] == 2 and info["misses"] == 2
+        assert info["hits"] == len(batch) and info["misses"] == len(batch)
         assert info["hit_rate"] == pytest.approx(0.5)
-        assert cache.hit_rate() == pytest.approx(0.5)
         cache.clear()
         assert len(cache) == 0 and cache.info()["bytes"] == 0
 
     def test_metrics_emitted(self, rng):
         get_registry().reset()
         frozen, batch = _scale_encode_graph(rng)
-        cache = StageCache()
+        cache = StageCache(max_entries=len(batch))
         frozen.run(batch, cache=cache)
         frozen.run(batch, cache=cache)
         snapshot = get_registry().snapshot()
-        assert snapshot["stagecache.hits"]["value"] == 2
-        assert snapshot["stagecache.misses"]["value"] == 2
+        assert snapshot["stagecache.hits"]["value"] == len(batch)
+        assert snapshot["stagecache.misses"]["value"] == len(batch)
 
     def test_rejects_nonpositive_entries(self):
         with pytest.raises(ValueError):
             StageCache(max_entries=0)
+
+    def test_partial_hits_run_misses_as_one_sub_batch(self, rng):
+        frozen, batch = _scale_encode_graph(rng)
+        seen = []
+
+        class Counting(ExecutorStage):
+            def __call__(self, rows, ctx=None):
+                seen.append(len(rows))
+                return self.inner(rows, ctx)
+
+        graph = StageGraph([Counting(s, "counting") if s.name == "encode"
+                            else s for s in frozen.stages])
+        cache = StageCache(max_entries=len(batch))
+        graph.run(batch[::2], cache=cache)
+        got = graph.run(batch, cache=cache)
+        assert seen == [len(batch) // 2, len(batch) // 2]
+        np.testing.assert_array_equal(got, frozen.run(batch))
+
+    def test_returned_rows_are_not_cache_entries(self, rng):
+        frozen, batch = _scale_encode_graph(rng)
+        cache = StageCache(max_entries=len(batch))
+        first = frozen.run(batch, stop="classify", cache=cache)
+        want = first.copy()
+        first[:] = 0.0
+        hit = frozen.run(batch, stop="classify", cache=cache)
+        np.testing.assert_array_equal(hit, want)
+        hit[:] = 0.0
+        np.testing.assert_array_equal(
+            frozen.run(batch, stop="classify", cache=cache), want)
+
+    def test_precomputed_digest_matches_per_call_digest(self, rng):
+        frozen, batch = _scale_encode_graph(rng)
+        cache = StageCache(max_entries=len(batch))
+        digest = frozen.slice_digest(stop="classify")
+        frozen.run(batch, stop="classify", cache=cache)
+        frozen.run(batch, stop="classify", cache=cache, digest=digest)
+        assert cache.hits == len(batch)
 
 
 # ----------------------------------------------------------------------
@@ -488,9 +538,9 @@ class TestServeIntegration:
     def test_engine_compile_bit_exact(self, synthetic_bundle):
         bundle = synthetic_bundle()
         plain = InferenceEngine(bundle, build_extractor=False,
-                                cache_size=0, use_packed=False)
+                                cache_size=0, executors={})
         compiled = InferenceEngine(bundle, build_extractor=False,
-                                   cache_size=0, use_packed=False,
+                                   cache_size=0, executors={},
                                    passes="all")
         assert compiled.compile_passes == ["fuse_scale_encode"]
         x = self._features()
@@ -507,49 +557,72 @@ class TestServeIntegration:
         assert described["executors"] == engine.executor_plan
 
     def test_engine_packed_backcompat_preserved(self, synthetic_bundle):
-        # The tri-state use_packed contract survives compilation.
+        # Packed auto-selection survives compilation; asking for packed
+        # on a bundle that cannot bit-pack still fails at load.
         engine = InferenceEngine(synthetic_bundle(),
                                  build_extractor=False, passes="all")
-        assert engine.use_packed
-        with pytest.raises(BundleError):
+        assert engine.packed_path
+        assert engine.executor_plan == {"classify": "packed"}
+        with pytest.raises(BundleError, match="bipolar"):
             InferenceEngine(synthetic_bundle(binary=False),
-                            build_extractor=False, use_packed=True,
+                            build_extractor=False,
+                            executors={"classify": "packed"},
                             passes="all")
 
-    def test_engine_stage_cache(self, synthetic_bundle):
+    def test_empty_executor_map_forces_float(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle(),
-                                 build_extractor=False, cache_size=0,
-                                 stage_cache_size=8)
+                                 build_extractor=False, executors={})
+        assert not engine.packed_path and engine.executor_plan == {}
+        assert isinstance(engine.graph.stages[-1], ClassifyStage)
+
+    def test_engine_stage_cache(self, synthetic_bundle):
+        # The engine's cache is the per-row StageCache under the
+        # compiled encode slice.
+        engine = InferenceEngine(synthetic_bundle(),
+                                 build_extractor=False, cache_size=64,
+                                 passes="all")
         x = self._features()
         first = engine.predict_features(x)
         second = engine.predict_features(x)
         np.testing.assert_array_equal(second, first)
-        info = engine.stage_cache_info()
-        assert info["hits"] > 0
+        info = engine.cache_info()
+        assert info["hits"] == len(x) and info["misses"] == len(x)
 
-    def test_stage_cache_info_none_when_disabled(self, synthetic_bundle):
+    def test_engine_never_redigests_per_request(self, synthetic_bundle,
+                                                monkeypatch):
         engine = InferenceEngine(synthetic_bundle(),
                                  build_extractor=False)
-        assert engine.stage_cache_info() is None
+        calls = []
+        real = cache_module.stage_digest
+        monkeypatch.setattr(cache_module, "stage_digest",
+                            lambda stage: calls.append(stage) or real(stage))
+        engine.predict_features(self._features())
+        engine.encode_features(self._features())
+        assert calls == []
 
     def test_deep_health_reports_compile_vitals(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle(),
-                                 build_extractor=False, cache_size=0,
-                                 passes="all", stage_cache_size=4)
+                                 build_extractor=False, cache_size=4,
+                                 passes="all")
+        engine.predict_features(self._features(n=2))
+        engine.predict_features(self._features(n=2))
         with ModelServer(engine, port=0, workers=1) as server:
             vitals = server.health(deep=True)["engine_vitals"]
         assert vitals["compile_passes"] == ["fuse_scale_encode"]
-        assert isinstance(vitals["executor_plan"], dict)
-        assert vitals["stage_cache"]["max_entries"] == 4
-        assert vitals["stage_cache_hit_rate"] is not None
+        assert vitals["executor_plan"] == {"classify": "packed"}
+        assert vitals["packed_path"] is True
+        assert vitals["cache_hit_rate"] == pytest.approx(0.5)
+        assert "stage_cache" not in vitals
 
     def test_deep_health_without_stage_cache(self, synthetic_bundle):
+        # cache_size=0: the engine runs without any StageCache.
         engine = InferenceEngine(synthetic_bundle(),
-                                 build_extractor=False)
+                                 build_extractor=False, cache_size=0)
+        engine.predict_features(self._features(n=2))
         with ModelServer(engine, port=0, workers=1) as server:
             vitals = server.health(deep=True)["engine_vitals"]
-        assert vitals["stage_cache"] is None
-        assert vitals["stage_cache_hit_rate"] is None
+        assert vitals["cache_hit_rate"] is None
+        assert vitals["cache_entries"] == 0
 
 
 class TestPipelineIntegration:
@@ -581,27 +654,31 @@ class TestPipelineIntegration:
 
     def test_pipeline_stage_cache_hits_on_refit_style_sweep(self):
         pipe, images = self._fitted_vanilla()
-        want = pipe.predict(images)
-        cache = StageCache()
+        fresh = fresh_rng((2, "vanilla-sweep")).random(images.shape)
+        # Repeat evals, then a sweep mixing cached and unseen rows.
+        sweep = [images, images, np.concatenate([images[::2], fresh]),
+                 fresh[::-1]]
+        want = [pipe.predict(batch) for batch in sweep]
+        cache = StageCache(max_entries=2 * len(images))
         pipe.set_stage_cache(cache)
         try:
-            pipe.predict(images)
-            got = pipe.predict(images)
+            got = [pipe.predict(batch) for batch in sweep]
         finally:
             pipe.set_stage_cache(None)
-        np.testing.assert_array_equal(got, want)
-        assert cache.hits > 0
+        for labels, expected in zip(got, want):
+            np.testing.assert_array_equal(labels, expected)
+        assert cache.hits == len(images) + len(images) // 2 + len(fresh)
+        assert cache.misses == len(images) + len(fresh)
 
 
 class TestCompileConfig:
     def test_compile_section_flattens(self, tmp_path):
         path = tmp_path / "serve.toml"
-        path.write_text('[compile]\npasses = "all"\nstage_cache = 32\n'
+        path.write_text('[compile]\npasses = "all"\n'
                         '[compile.executors]\nencode = "threaded"\n')
         config = load_config(str(path))
         assert config["compile_passes"] == "all"
         assert config["compile_executors"] == {"encode": "threaded"}
-        assert config["compile_stage_cache"] == 32
 
     def test_unknown_compile_key_rejected(self, tmp_path):
         path = tmp_path / "serve.toml"

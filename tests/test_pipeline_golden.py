@@ -172,7 +172,7 @@ class TestLegacyBundles:
             _fixture(f"golden_{name}_bundle_packed.npz"))
         assert "graph" not in bundle.info
         engine = InferenceEngine(bundle, cache_size=0)
-        assert engine.use_packed  # auto-selected on the bipolar export
+        assert engine.packed_path  # auto-selected on the bipolar export
         got = engine.predict_features(golden[f"{name}.raw_features"])
         np.testing.assert_array_equal(got, golden[f"{name}.packed_labels"])
 
@@ -214,7 +214,7 @@ class TestNewBundles:
         ModelBundle.from_pipeline(refit[name], config={"golden": name},
                                   binarize=True).save(path)
         engine = InferenceEngine.from_path(path, cache_size=0)
-        assert engine.use_packed
+        assert engine.packed_path
         raw = golden[f"{name}.raw_features"]
         np.testing.assert_array_equal(engine.predict_features(raw),
                                       golden[f"{name}.packed_labels"])

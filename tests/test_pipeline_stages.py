@@ -8,9 +8,9 @@ from repro.hd.encoders import NonlinearEncoder, RandomProjectionEncoder
 from repro.hd.similarity import classify, packed_classify
 from repro.learn.manifold import ManifoldLearner
 from repro.learn.mass import normalized_similarity
-from repro.pipeline import (STAGE_TYPES, ClassifyStage, EncodeStage,
-                            FeatureScaler, FlattenStage, ManifoldReduceStage,
-                            PackedClassifyStage, ScaleStage, Stage,
+from repro.pipeline import (EXECUTORS, STAGE_TYPES, ClassifyStage,
+                            EncodeStage, FeatureScaler, FlattenStage,
+                            ManifoldReduceStage, ScaleStage, Stage,
                             StageError, StageGraph, clamped_norms,
                             cosine_similarities, encoder_spec,
                             register_stage, stage_from_spec)
@@ -217,10 +217,12 @@ class TestClassifyStage:
 
 
 class TestPackedClassifyStage:
+    """The packed classify stage is the ``packed`` executor's binding."""
+
     def test_matches_float_dot_on_bipolar(self, rng):
         matrix = np.where(rng.random((5, 256)) < 0.5, -1.0, 1.0)
         queries = np.where(rng.random((16, 256)) < 0.5, -1.0, 1.0)
-        stage = PackedClassifyStage.from_class_matrix(matrix)
+        stage = EXECUTORS["packed"].bind(ClassifyStage.from_matrix(matrix))
         np.testing.assert_array_equal(stage(queries),
                                       classify(matrix, queries,
                                                metric="dot"))
@@ -228,7 +230,7 @@ class TestPackedClassifyStage:
     def test_from_classify(self, rng):
         matrix = np.where(rng.random((3, 64)) < 0.5, -1.0, 1.0)
         frozen = ClassifyStage.from_matrix(matrix)
-        stage = PackedClassifyStage.from_classify(frozen)
+        stage = EXECUTORS["packed"].bind(frozen)
         np.testing.assert_array_equal(stage.packed_classes,
                                       pack_bipolar(matrix))
 

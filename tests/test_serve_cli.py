@@ -23,11 +23,11 @@ class TestLoadConfig:
         path.write_text(
             '[server]\nhost = "0.0.0.0"\nport = 9000\n'
             "[batcher]\nmax_batch_size = 64\nworkers = 3\n"
-            "[engine]\ncache_size = 128\nuse_packed = true\n")
+            "[engine]\ncache_size = 128\nselfcheck = true\n")
         config = load_config(str(path))
         assert config == {"host": "0.0.0.0", "port": 9000,
                           "max_batch_size": 64, "workers": 3,
-                          "cache_size": 128, "use_packed": True}
+                          "cache_size": 128, "selfcheck": True}
 
     def test_flat_layout(self, tmp_path):
         path = tmp_path / "serve.toml"
@@ -58,7 +58,7 @@ def _args(bundle, **overrides):
     defaults = dict(bundle=bundle, config=None, host=None, port=0,
                     max_batch_size=None, max_latency_ms=None, workers=None,
                     high_watermark=None, timeout_s=None, cache_size=None,
-                    no_packed=False, no_extractor=False, dry_run=False)
+                    no_extractor=False, dry_run=False)
     defaults.update(overrides)
     return argparse.Namespace(**defaults)
 
@@ -68,7 +68,7 @@ class TestBuildServer:
         server = build_server(_args(bundle_path))
         try:
             assert server.bundle_path == bundle_path
-            assert server.engine.use_packed  # auto-selected
+            assert server.engine.packed_path  # auto-selected
             assert server.engine.cache_info()["max_entries"] == 256
         finally:
             server.stop()
@@ -86,10 +86,13 @@ class TestBuildServer:
         finally:
             server.stop()
 
-    def test_no_packed_flag(self, bundle_path):
-        server = build_server(_args(bundle_path, no_packed=True))
+    def test_empty_executor_map_forces_float(self, bundle_path, tmp_path):
+        config = tmp_path / "serve.toml"
+        config.write_text("[compile]\nexecutors = {}\n")
+        server = build_server(_args(bundle_path, config=str(config)))
         try:
-            assert server.engine.use_packed is False
+            assert server.engine.packed_path is False
+            assert server.engine_options["executors"] == {}
         finally:
             server.stop()
 

@@ -4,9 +4,10 @@ Targets an in-process worker (:class:`ModelServer`) and a :class:`Router`
 over a :class:`StaticFleet` of two workers.  Deterministic tests pin the
 wrong-width and bad-``Content-Length`` answers; a Hypothesis fuzz test
 throws random bytes, random JSON, wrong-width / non-numeric features and
-junk or oversized ``Content-Length`` values at ``/predict``,
-``/feedback`` and ``/reload`` and checks every answer is < 500, carries
-``X-Trace-Id``, and leaves every router breaker closed.
+junk or oversized ``Content-Length`` values and requests over
+``MAX_ROWS`` rows at ``/predict``, ``/feedback`` and ``/reload`` and
+checks every answer is < 500, carries ``X-Trace-Id``, and leaves every
+router breaker closed.
 """
 
 import http.client
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.serve import InferenceEngine, ModelServer, Router, StaticFleet
-from repro.serve.http import MAX_BODY_BYTES
+from repro.serve.http import MAX_BODY_BYTES, MAX_ROWS
 from repro.telemetry import get_registry
 
 WIDTH = 32  # feature width of the synthetic bundle
@@ -128,6 +129,50 @@ class TestContentLength:
         assert_closed_breakers(edge["router"])
 
 
+class TestUnreadBody:
+    @pytest.mark.parametrize("target,path", [
+        ("worker", "/nope"), ("router", "/nope"), ("router", "/feedback"),
+    ])
+    def test_unread_large_body_still_gets_its_answer(self, edge, target,
+                                                     path):
+        # A route that never reads the body (here a 404) must still
+        # drain it, or the client is reset mid-send and never reads
+        # the answer.
+        body = json.dumps({"features": [[0.25] * WIDTH] * 5000})
+        for _ in range(3):
+            status, headers, _ = raw_post(edge[target].address, path,
+                                          body.encode("utf-8"))
+            assert status == 404
+            assert headers.get("X-Trace-Id")
+
+
+class TestRowCap:
+    @pytest.mark.parametrize("target,path,payload", [
+        ("worker", "/predict", {}),
+        ("worker", "/feedback", {"label": 0}),
+        ("router", "/predict", {}),
+    ])
+    def test_too_many_rows_is_413(self, edge, target, path, payload):
+        errors_before = counter("fleet.router.upstream_errors")
+        burn_before = counter("fleet.slo.availability.burn_fast")
+        body = dict(payload, features=[[0.25] * WIDTH] * (MAX_ROWS + 1))
+        status, headers, reply = post_json(edge[target].address, path,
+                                           body)
+        assert status == 413, reply[:200]
+        assert str(MAX_ROWS) in json.loads(reply)["error"]
+        assert headers.get("X-Trace-Id")
+        assert counter("fleet.router.upstream_errors") == errors_before
+        assert counter("fleet.slo.availability.burn_fast") <= burn_before
+        assert_closed_breakers(edge["router"])
+
+    def test_row_cap_still_serves_max_rows(self, edge):
+        status, _, reply = post_json(
+            edge["router"].address, "/predict",
+            {"features": [[0.25] * WIDTH] * MAX_ROWS})
+        assert status == 200, reply[:200]
+        assert len(json.loads(reply)["labels"]) == MAX_ROWS
+
+
 # -- fuzz ----------------------------------------------------------------
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -140,14 +185,20 @@ json_values = st.recursive(
 rows = st.integers(1, 3).flatmap(lambda n: st.integers(1, 64).filter(
     lambda w: w != WIDTH).map(lambda w: [[0.25] * w] * n))
 
+too_many_rows = st.integers(MAX_ROWS + 1, MAX_ROWS + 64).map(
+    lambda n: [[0.25] * WIDTH] * n)
+
 json_bodies = st.one_of(
     json_values,
     st.fixed_dictionaries({"features": json_values}),
     st.fixed_dictionaries({"features": rows}),
+    st.fixed_dictionaries({"features": too_many_rows}),
     st.fixed_dictionaries({"features": st.lists(
         st.text(max_size=4), min_size=1, max_size=WIDTH)}),
     st.fixed_dictionaries({"label": json_values, "features": json_values}),
     st.fixed_dictionaries({"label": st.integers(), "features": rows}),
+    st.fixed_dictionaries({"label": st.integers(),
+                           "features": too_many_rows}),
     st.fixed_dictionaries({"label": json_values,
                            "request_id": json_values}),
     st.fixed_dictionaries({"bundle": json_values}),

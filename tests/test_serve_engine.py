@@ -24,21 +24,22 @@ def fitted_vanilla():
 class TestPackedPath:
     def test_auto_enabled_on_bipolar_bundle(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle())
-        assert engine.use_packed
+        assert engine.packed_path
         assert engine.describe()["packed"]
 
     def test_float_bundle_stays_on_cosine_path(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle(binary=False))
-        assert not engine.use_packed
+        assert not engine.packed_path
 
     def test_forcing_packed_on_float_bundle_raises(self, synthetic_bundle):
         with pytest.raises(BundleError, match="bipolar"):
-            InferenceEngine(synthetic_bundle(binary=False), use_packed=True)
+            InferenceEngine(synthetic_bundle(binary=False),
+                            executors={"classify": "packed"})
 
     def test_packed_bitexact_with_float_engine(self, synthetic_bundle):
         bundle = synthetic_bundle(dim=640, features=24, classes=7, seed=3)
         packed = InferenceEngine(bundle, cache_size=0)
-        floating = InferenceEngine(bundle, use_packed=False, cache_size=0)
+        floating = InferenceEngine(bundle, executors={}, cache_size=0)
         rng = fresh_rng((3, "engine-agreement"))
         features = rng.standard_normal((200, 24))
         np.testing.assert_array_equal(packed.predict_features(features),
@@ -47,7 +48,8 @@ class TestPackedPath:
     def test_selfcheck_catches_corruption(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle())
         assert engine.selfcheck()
-        engine._packed_classes = np.roll(engine._packed_classes, 1, axis=0)
+        packed = engine.graph.stages[-1]
+        packed.packed_classes = np.roll(packed.packed_classes, 1, axis=0)
         with pytest.raises(EngineSelfCheckError):
             engine.selfcheck()
 
@@ -120,9 +122,9 @@ class TestPipelineParity:
         the class matrix was binarized at export."""
         pipeline = fitted_vanilla[0]
         bundle = ModelBundle.from_pipeline(pipeline, binarize=True)
-        assert not InferenceEngine(bundle).use_packed  # auto stays off
+        assert not InferenceEngine(bundle).packed_path  # auto stays off
         with pytest.raises(BundleError, match="quantizing encoder"):
-            InferenceEngine(bundle, use_packed=True)
+            InferenceEngine(bundle, executors={"classify": "packed"})
 
     def test_quantized_nonlinear_packed_agrees_with_float(
             self, fitted_vanilla):
@@ -134,9 +136,12 @@ class TestPipelineParity:
             bundle = ModelBundle.from_pipeline(pipeline, binarize=True)
         finally:
             pipeline.encoder.quantize = False
-        packed = InferenceEngine(bundle, use_packed=True)
-        floating = InferenceEngine(bundle, use_packed=False)
-        assert packed.use_packed
+        packed = InferenceEngine(bundle, executors={"classify": "packed"})
+        floating = InferenceEngine(bundle, executors={})
+        assert packed.packed_path
+        # The one auto rule (compile's) needs quantizing encoders, not
+        # a random-projection one, so the default engine is packed too.
+        assert InferenceEngine(bundle).packed_path
         np.testing.assert_array_equal(packed.predict(x_te),
                                       floating.predict(x_te))
 

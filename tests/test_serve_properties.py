@@ -4,7 +4,9 @@ The load-bearing claim of the packed path is *exactness*, not
 approximation: for bipolar operands the XOR-popcount kernel computes the
 same integer dot products as float arithmetic, so rankings (and
 therefore predictions) agree bit-for-bit.  These properties pin that
-claim across random dimensions, class counts and seeds.
+claim across random dimensions, class counts and seeds, and pin the
+engine's per-row cache as invisible: with evictions and partial-hit
+sub-batches, every answer equals the uncached engine's.
 """
 
 import numpy as np
@@ -65,11 +67,51 @@ class TestPackedKernelProperties:
         bundle = _synthetic_bundle(dim=257, features=12, classes=5,
                                    seed=seed)
         packed = InferenceEngine(bundle, cache_size=0, selfcheck=False)
-        floating = InferenceEngine(bundle, use_packed=False, cache_size=0)
+        floating = InferenceEngine(bundle, executors={}, cache_size=0)
         rng = fresh_rng((seed, "engine-prop"))
         features = rng.standard_normal((32, 12))
         np.testing.assert_array_equal(packed.predict_features(features),
                                       floating.predict_features(features))
+
+
+class TestCacheProperties:
+    @given(seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+           binary=st.booleans(), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_property_cache_is_transparent(self, seed, binary, data):
+        """Repeated/fresh row mixes through a too-small cache answer
+        exactly what an uncached engine answers, on the packed and the
+        float path; returned arrays are never cache entries."""
+        bundle = _synthetic_bundle(dim=130, features=12, classes=5,
+                                   seed=seed, binary=binary)
+        distinct = data.draw(st.integers(min_value=3, max_value=12))
+        cache_size = data.draw(st.integers(min_value=1,
+                                           max_value=distinct - 1))
+        batches = data.draw(st.lists(
+            st.lists(st.integers(min_value=0, max_value=distinct - 1),
+                     min_size=1, max_size=8),
+            min_size=1, max_size=6))
+        cached = InferenceEngine(bundle, cache_size=cache_size,
+                                 build_extractor=False)
+        plain = InferenceEngine(bundle, cache_size=0,
+                                build_extractor=False)
+        assert cached.packed_path == binary
+        pool = fresh_rng((seed, "cache-prop")).standard_normal(
+            (distinct, 12))
+        for rows in batches:
+            features = pool[rows]
+            want = plain.encode_features(features)
+            got = cached.encode_features(features)
+            np.testing.assert_array_equal(got, want)
+            got[:] = 0.0  # a caller (e.g. OnlineLearner) mutating it
+            np.testing.assert_array_equal(
+                cached.predict_features(features),
+                plain.predict_features(features))
+            np.testing.assert_array_equal(
+                cached.encode_features(features), want)
+        info = cached.cache_info()
+        assert info["entries"] <= cache_size
+        assert info["hits"] + info["misses"] == 3 * sum(map(len, batches))
 
 
 class TestBatcherProperties:

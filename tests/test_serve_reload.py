@@ -59,7 +59,7 @@ class TestReloadMethod:
         assert server.engine is not old_engine
         assert server.bundle_path == path_b
         # the new engine really is the packed one
-        assert server.engine.use_packed
+        assert server.engine.packed_path
 
     def test_reload_same_path_by_default(self, server, bundles):
         path_a, _ = bundles

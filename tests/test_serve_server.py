@@ -187,7 +187,7 @@ class BrokenSelfcheckEngine:
     def __init__(self, engine):
         self.engine = engine
         self.bundle = engine.bundle
-        self.use_packed = engine.use_packed
+        self.packed_path = engine.packed_path
 
     def predict_features(self, features):
         return self.engine.predict_features(features)
@@ -218,7 +218,7 @@ class TestHealthzIdentity:
 
     def test_float_engine_reports_float_mode(self, synthetic_bundle):
         engine = InferenceEngine(synthetic_bundle(seed=62, binary=False))
-        assert not engine.use_packed
+        assert not engine.packed_path
         with ModelServer(engine, port=0) as server:
             health = json.loads(get(server.url + "/healthz"))
         assert health["mode"] == "float"
